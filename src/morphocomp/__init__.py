@@ -27,10 +27,8 @@ from .prob import (
     Kernel3,
     chain,
     compose_joint,
-    condition,
     conditional_mutual_information,
     kl,
-    marginal,
 )
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "chain",
     "cif",
     "compose_joint",
-    "condition",
     "conditional_mutual_information",
     "do_a",
     "do_s",
@@ -60,7 +57,6 @@ __all__ = [
     "intrinsic_measures",
     "joint_from_model",
     "kl",
-    "marginal",
     "mc_a",
     "mc_w",
     "read_symbol_series",

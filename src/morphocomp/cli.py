@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__, binary, rotator
-from .estimation import Binner, DataError, estimate, read_symbol_series
+from .estimation import Binner, estimate, read_symbol_series
 from .measures import (
     INTRINSIC_MEASURES,
     ConsistencyError,
@@ -60,9 +61,7 @@ class RunManifest:
     outputs: list[str]
 
     def write(self, out_dir: Path) -> None:
-        with (out_dir / "manifest.json").open("w") as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(out_dir / "manifest.json", dataclasses.asdict(self))
 
 
 def _parse_binner(text: str) -> Binner:
@@ -86,12 +85,27 @@ def _write_csv(path: Path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _report_rows(reports: list[MeasureReport], columns) -> list[list]:
-    rows = []
-    for report in reports:
-        merged = {**report.metadata, **report.values}
-        rows.append([merged[c] for c in columns])
-    return rows
+def _write_json(path: Path, document, sort_keys: bool = True) -> None:
+    with path.open("w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=sort_keys)
+        handle.write("\n")
+
+
+def _write_table(out: Path, stem: str, fmt: str, columns, reports: list[MeasureReport]) -> Path:
+    """Write one row per report, its metadata and values picked by `columns`.
+
+    `fmt` "json" writes `<stem>.json`, a list of records in column order;
+    anything else writes `<stem>.csv`.
+    """
+    # a generator, so a CSV table is written without holding its rows
+    records = ({**report.metadata, **report.values} for report in reports)
+    if fmt == "json":
+        path = out / f"{stem}.json"
+        _write_json(path, [{c: record[c] for c in columns} for record in records], sort_keys=False)
+    else:
+        path = out / f"{stem}.csv"
+        _write_csv(path, columns, ([record[c] for c in columns] for record in records))
+    return path
 
 
 def _ensure_out(args) -> Path:
@@ -135,9 +149,7 @@ def cmd_measure(args) -> int:
     if args.out:
         out = _ensure_out(args)
         report_path = out / "report.json"
-        with report_path.open("w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(report_path, document)
         _write_manifest(
             out,
             "measure",
@@ -160,20 +172,8 @@ def cmd_binary_sweep(args) -> int:
     psi = args.psi if args.psi is not None else list(binary.DEFAULT_GRID)
     mu = args.mu if args.mu is not None else list(binary.DEFAULT_MU_VALUES)
     reports = binary.sweep(phi, psi, mu, zeta=args.zeta, tau=args.tau)
-    rows = _report_rows(reports, BINARY_SWEEP_COLUMNS)
     out = _ensure_out(args)
-    if args.format == "json":
-        table_path = out / "binary_sweep.json"
-        with table_path.open("w") as handle:
-            json.dump(
-                [dict(zip(BINARY_SWEEP_COLUMNS, row)) for row in rows],
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
-    else:
-        table_path = out / "binary_sweep.csv"
-        _write_csv(table_path, BINARY_SWEEP_COLUMNS, rows)
+    table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, reports)
     _write_manifest(
         out,
         "binary-sweep",
@@ -188,7 +188,7 @@ def cmd_binary_sweep(args) -> int:
         None,
         [table_path.name],
     )
-    print(f"{len(rows)} grid points -> {table_path}")
+    print(f"{len(reports)} grid points -> {table_path}")
     return 0
 
 
@@ -236,14 +236,10 @@ def cmd_rotator_run(args) -> int:
         ),
     )
     series_path = out / "series.csv"
-    normalized = episode.forces / cfg.f_max
-    with series_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("t", "s", "a"))
-        for t, s, a in zip(episode.times, episode.velocities[:-1], normalized):
-            writer.writerow((t, s, a))
-        # final observation has no action yet
-        writer.writerow((cfg.steps * cfg.control_dt, episode.velocities[-1], ""))
+    steps = zip(episode.times, episode.velocities[:-1], episode.forces / cfg.f_max)
+    # final observation has no action yet
+    final = (cfg.steps * cfg.control_dt, episode.velocities[-1], "")
+    _write_csv(series_path, ("t", "s", "a"), itertools.chain(steps, [final]))
 
     values = rotator.episode_measures(episode.series)
     for name, value in values.items():
@@ -267,20 +263,8 @@ def cmd_rotator_sweep(args) -> int:
         _warn_soft_range("beta", beta, *BETA_RANGE)
     cfg = _rotator_config(args, scalar_cell=False)
     reports = rotator.sweep(eta_values, beta_values, args.runs, cfg)
-    rows = _report_rows(reports, ROTATOR_SWEEP_COLUMNS)
     out = _ensure_out(args)
-    if args.format == "json":
-        table_path = out / "rotator_sweep.json"
-        with table_path.open("w") as handle:
-            json.dump(
-                [dict(zip(ROTATOR_SWEEP_COLUMNS, row)) for row in rows],
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
-    else:
-        table_path = out / "rotator_sweep.csv"
-        _write_csv(table_path, ROTATOR_SWEEP_COLUMNS, rows)
+    table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, reports)
     _write_manifest(
         out,
         "rotator-sweep",
@@ -295,7 +279,7 @@ def cmd_rotator_sweep(args) -> int:
         cfg.seed,
         [table_path.name],
     )
-    print(f"{len(rows)} cells x {args.runs} runs -> {table_path}")
+    print(f"{len(reports)} cells x {args.runs} runs -> {table_path}")
     return 0
 
 
@@ -363,9 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, UsageError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the prob errors are ValueErrors too, so this clause must come first
     except (
         ConsistencyError,
         NumericalError,
@@ -376,6 +358,11 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # DataError, UsageError and the range checks of the configs and sweeps
+    # are ValueErrors; OSError covers missing inputs and blocked outputs
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

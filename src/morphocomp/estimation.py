@@ -212,6 +212,10 @@ def _parse_column(path, cells, binner, size, name):
                 f"{path}:{i + 2}: column {name} holds {cell!r}; real-valued "
                 "columns need a binner"
             ) from None
+        except OverflowError:
+            raise DataError(
+                f"{path}:{i + 2}: column {name} symbol {cell} does not fit in 64 bits"
+            ) from None
     if (symbols < 0).any():
         row = int(np.argmax(symbols < 0)) + 2
         raise DataError(f"{path}:{row}: negative symbol in column {name}")

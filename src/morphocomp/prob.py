@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,15 +47,6 @@ class SupportError(ValueError):
         self.index = index
 
 
-def _as_prob_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise InvalidDistributionError(f"{name} contains non-finite entries")
-    if (arr < 0).any():
-        raise InvalidDistributionError(f"{name} contains negative entries")
-    return arr
-
-
 def _normalized(arr: np.ndarray, axis, name: str) -> np.ndarray:
     sums = arr.sum(axis=axis, keepdims=True)
     dev = np.abs(sums - 1.0)
@@ -70,9 +61,23 @@ def _normalized(arr: np.ndarray, axis, name: str) -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _validate(obj, field: str, shape: tuple, sum_axis, name: str) -> None:
+    """Check, normalise and freeze the array `obj.<field>` in place.
+
+    The one validation path of every probability object: finite and
+    non-negative entries, the shape its alphabets imply, sums over
+    `sum_axis` within the tolerances of :func:`_normalized`, read-only.
+    """
+    arr = np.array(getattr(obj, field), dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidDistributionError(f"{name} contains non-finite entries")
+    if (arr < 0).any():
+        raise InvalidDistributionError(f"{name} contains negative entries")
+    if arr.shape != shape:
+        raise DimensionError(f"{name} of shape {arr.shape}, expected {shape}")
+    arr = _normalized(arr, axis=sum_axis, name=name)
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(obj, field, arr)
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,6 @@ class Alphabet:
                 )
             object.__setattr__(self, "labels", labels)
 
-    def label(self, index: int) -> str:
-        if self.labels is not None:
-            return self.labels[index]
-        return str(index)
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -107,14 +107,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, "distribution")
-        if arr.shape != (self.alphabet.size,):
-            raise DimensionError(
-                f"distribution of shape {arr.shape} over alphabet of size "
-                f"{self.alphabet.size}"
-            )
-        arr = _normalized(arr, axis=-1, name="distribution")
-        object.__setattr__(self, "probs", _frozen(arr))
+        _validate(self, "probs", (self.alphabet.size,), -1, "distribution")
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "Distribution":
@@ -136,17 +129,7 @@ class Kernel2:
     rows: np.ndarray  # shape (|source|, |target|)
 
     def __post_init__(self):
-        arr = _as_prob_array(self.rows, "kernel")
-        if arr.shape != (self.source.size, self.target.size):
-            raise DimensionError(
-                f"kernel of shape {arr.shape}, expected "
-                f"({self.source.size}, {self.target.size})"
-            )
-        arr = _normalized(arr, axis=-1, name="kernel rows")
-        object.__setattr__(self, "rows", _frozen(arr))
-
-    def row(self, x: int) -> Distribution:
-        return Distribution(self.target, self.rows[x])
+        _validate(self, "rows", (self.source.size, self.target.size), -1, "kernel")
 
     @classmethod
     def uniform(cls, source: Alphabet, target: Alphabet) -> "Kernel2":
@@ -173,12 +156,8 @@ class Kernel3:
     entries: np.ndarray  # shape (|source1|, |source2|, |target|)
 
     def __post_init__(self):
-        arr = _as_prob_array(self.entries, "kernel")
-        expected = (self.source1.size, self.source2.size, self.target.size)
-        if arr.shape != expected:
-            raise DimensionError(f"kernel of shape {arr.shape}, expected {expected}")
-        arr = _normalized(arr, axis=-1, name="kernel rows")
-        object.__setattr__(self, "entries", _frozen(arr))
+        shape = (self.source1.size, self.source2.size, self.target.size)
+        _validate(self, "entries", shape, -1, "kernel")
 
     @classmethod
     def uniform(cls, source1: Alphabet, source2: Alphabet, target: Alphabet) -> "Kernel3":
@@ -198,30 +177,7 @@ class Joint3:
     probs: np.ndarray  # shape (|x|, |y|, |z|)
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, "joint")
-        expected = (self.x.size, self.y.size, self.z.size)
-        if arr.shape != expected:
-            raise DimensionError(f"joint of shape {arr.shape}, expected {expected}")
-        arr = _normalized(arr, axis=None, name="joint")
-        object.__setattr__(self, "probs", _frozen(arr))
-
-    def alphabet(self, axis: int) -> Alphabet:
-        return (self.x, self.y, self.z)[axis]
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalTable:
-    """Result of conditioning a joint: p(target | given axes).
-
-    Rows whose conditioning cell carries zero probability are undefined:
-    they are filled with NaN and flagged False in `defined`.  Expectation
-    sums must weight such rows with zero, never read them.
-    """
-
-    given_axes: tuple[int, ...]
-    target_axis: int
-    table: np.ndarray
-    defined: np.ndarray
+        _validate(self, "probs", (self.x.size, self.y.size, self.z.size), None, "joint")
 
 
 def compose_joint(prior: Distribution, policy: Kernel2, kernel: Kernel3) -> Joint3:
@@ -232,64 +188,6 @@ def compose_joint(prior: Distribution, policy: Kernel2, kernel: Kernel3) -> Join
         raise DimensionError("kernel conditioning alphabets differ from prior/policy")
     probs = prior.probs[:, None, None] * policy.rows[:, :, None] * kernel.entries
     return Joint3(prior.alphabet, policy.target, kernel.target, probs)
-
-
-def _check_axes(axes: Iterable[int], what: str) -> tuple[int, ...]:
-    axes = tuple(axes)
-    if not axes:
-        raise ValueError(f"{what} must name at least one axis")
-    if len(set(axes)) != len(axes) or not set(axes) <= {0, 1, 2}:
-        raise ValueError(f"{what} must be distinct axes from {{0, 1, 2}}, got {axes}")
-    return axes
-
-
-def marginal(joint: Joint3, keep=None, drop=None):
-    """Marginalise a joint.
-
-    Exactly one of `keep` / `drop` selects axes (0=x, 1=y, 2=z).  Returns a
-    float when everything is summed out, a :class:`Distribution` when one
-    axis remains, otherwise a plain array with axes in the requested order.
-    """
-    if (keep is None) == (drop is None):
-        raise ValueError("pass exactly one of keep= or drop=")
-    if keep is not None:
-        keep = _check_axes(keep, "keep")
-        dropped = tuple(sorted({0, 1, 2} - set(keep)))
-    else:
-        dropped = tuple(sorted(_check_axes(drop, "drop")))
-        keep = tuple(i for i in (0, 1, 2) if i not in dropped)
-    summed = joint.probs.sum(axis=dropped)
-    if not keep:
-        return float(summed)
-    # numpy leaves remaining axes in sorted order; honour the requested order
-    order = np.argsort(np.argsort(keep))
-    summed = np.transpose(summed, order) if summed.ndim > 1 else summed
-    if len(keep) == 1:
-        return Distribution(joint.alphabet(keep[0]), summed)
-    return summed
-
-
-def condition(joint: Joint3, target: int, given) -> ConditionalTable:
-    """Conditional table p(target | given) from a joint.
-
-    `given` is one axis or a pair of axes.  Cells with zero conditioning
-    mass yield undefined rows (NaN, flagged in `defined`).
-    """
-    given = (given,) if isinstance(given, int) else tuple(given)
-    given = _check_axes(given, "given")
-    if target in given or target not in (0, 1, 2):
-        raise ValueError(f"target axis {target} must be a single axis not in given")
-    spare = tuple(i for i in (0, 1, 2) if i != target and i not in given)
-    reduced = joint.probs.sum(axis=spare) if spare else joint.probs
-    # move the target axis last
-    axes_now = [i for i in (0, 1, 2) if i == target or i in given]
-    order = [axes_now.index(g) for g in given] + [axes_now.index(target)]
-    reduced = np.transpose(reduced, order)
-    mass = reduced.sum(axis=-1)
-    defined = mass > 0
-    safe = np.where(defined, mass, 1.0)
-    table = np.where(defined[..., None], reduced / safe[..., None], np.nan)
-    return ConditionalTable(given, target, _frozen(table), _frozen(defined))
 
 
 def kl(p: Distribution, q: Distribution) -> float:

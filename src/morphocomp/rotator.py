@@ -40,6 +40,8 @@ ACTION_BINNER = Binner(-1.0, 1.0, 30)
 
 RK4_SUBSTEPS = 10
 
+_INT_FIELDS = {"steps", "seed"}
+
 
 class NumericalError(FloatingPointError):
     """Integration produced a non-finite state."""
@@ -61,6 +63,10 @@ class RotatorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name not in _INT_FIELDS and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.f_max <= 0:
             raise ValueError("f_max must be positive")
         if self.control_dt <= 0:
@@ -73,19 +79,7 @@ class RotatorConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class PendulumState:
-    theta: float
-    theta_dot: float
-    time: float = 0.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.theta, self.theta_dot, self.time))):
-            raise NumericalError(f"non-finite pendulum state {self!r}")
-
-
 CONFIG_VERSION = 1
-_INT_FIELDS = {"steps", "seed"}
 
 
 def write_config(path, cfg: RotatorConfig) -> None:
@@ -157,18 +151,6 @@ def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float, substeps: int
     return theta, theta_dot
 
 
-def dynamics_step(state: PendulumState, f: float, cfg: RotatorConfig, dt: float) -> PendulumState:
-    """One control period of plant motion under constant force."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    theta, theta_dot = _integrate(state.theta, state.theta_dot, f, cfg, dt)
-    if not (math.isfinite(theta) and math.isfinite(theta_dot)):
-        raise NumericalError(
-            f"integration diverged at t = {state.time:g} s (f = {f:g})"
-        )
-    return PendulumState(theta, theta_dot, state.time + dt)
-
-
 def control_force(sensor, cfg: RotatorConfig):
     """Controller response to a sensor reading.  Array-safe.
 
@@ -184,14 +166,6 @@ def control_force(sensor, cfg: RotatorConfig):
     g_clamped = np.clip(g, -1.0, 1.0)
     f = np.where(np.abs(error) >= cfg.beta, g_clamped * cfg.f_max, 0.0)
     return g_clamped, f
-
-
-def controller(theta_dot: float, cfg: RotatorConfig, rng: np.random.Generator):
-    """Noisy sensor reading and the resulting force for one control step."""
-    noise = rng.uniform(-cfg.eta, cfg.eta) * cfg.theta_dot_target
-    sensor = theta_dot + noise
-    _, f = control_force(sensor, cfg)
-    return float(sensor), float(f)
 
 
 def total_energy(theta, theta_dot, cfg: RotatorConfig):

@@ -8,7 +8,6 @@ test_noisy_cell_reference_quadruples); the tests guard both the stored
 targets and the measured values against it.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,9 +17,10 @@ from morphocomp import binary, rotator
 from morphocomp.estimation import estimate
 from morphocomp.measures import action_prior, asoc_a, asoc_w, c_a, cif, do_a, do_s, mc_a, mc_w
 from morphocomp.prob import Alphabet, kl
-from morphocomp.rotator import PendulumState, RotatorConfig, dynamics_step, total_energy
+from morphocomp.rotator import RotatorConfig
 from test_estimation import random_series, recursive_estimate
 from test_measures import brute_action_effect, brute_world_effect
+from test_rotator import free_swing_energy_drift
 
 
 def check(name, ok, detail=""):
@@ -254,13 +254,8 @@ class TestPropertySuites:
             check("measures equal brute-force definitional sums (1e-12)", ok_brute)
         )
 
-        cfg = RotatorConfig()
-        state = PendulumState(0.0, 2 * math.pi)
-        reference = total_energy(0.0, 2 * math.pi, cfg)
         seconds = 50
-        for _ in range(100 * seconds):
-            state = dynamics_step(state, 0.0, cfg, 0.01)
-        drift = abs(total_energy(state.theta, state.theta_dot, cfg) - reference) / abs(reference)
+        drift = free_swing_energy_drift(seconds)
         results.append(
             check(
                 "free pendulum energy drift < 1e-6 per simulated second",

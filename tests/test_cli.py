@@ -239,6 +239,54 @@ class TestRotatorCommands:
         assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
 
 
+class TestBadInputExitsTwo:
+    """Rejected input ends in exit 2 and an `error:` line, never a traceback."""
+
+    SWEEP = ["rotator", "sweep", "--eta", "0", "--beta", "0", "--steps", "50", "--runs", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SWEEP + ["--runs", "0", "--out", "{out}"],
+            SWEEP + ["--steps", "0", "--out", "{out}"],
+            SWEEP + ["--seed", "-1", "--out", "{out}"],
+            SWEEP + ["--eta", "-0.1", "--out", "{out}"],
+            SWEEP + ["--eta", "nan", "--out", "{out}"],
+            ["rotator", "run", "--beta", "nan", "--steps", "50", "--out", "{out}"],
+            ["rotator", "run", "--eta", "nan", "--steps", "50", "--out", "{out}"],
+            ["rotator", "run", "--eta", "inf", "--steps", "50", "--out", "{out}"],
+            ["binary-sweep", "--phi", "-1", "--psi", "0", "--mu", "0", "--out", "{out}"],
+            ["measure", "--input", "{series}", "--out", "{series}"],
+            ["measure", "--input", "{tmp}"],
+        ],
+        ids=[
+            "sweep-runs-0",
+            "sweep-steps-0",
+            "sweep-seed-negative",
+            "sweep-eta-negative",
+            "sweep-eta-nan",
+            "run-beta-nan",
+            "run-eta-nan",
+            "run-eta-inf",
+            "binary-phi-negative",
+            "measure-out-is-a-file",
+            "measure-input-is-a-directory",
+        ],
+    )
+    def test_exits_two_with_error_line(self, tmp_path, capsys, argv):
+        series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
+        argv = [a.format(out=tmp_path / "out", series=series, tmp=tmp_path) for a in argv]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_config_file_with_nan_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "rotator.cfg"
+        config.write_text("version = 1\nbeta = nan\n")
+        code = run_cli("rotator", "run", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
+
 class TestParserBehaviour:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -276,3 +276,11 @@ class TestCsv:
         path = self.write(tmp_path, "t,s,a\n0,0,\n1,1,0\n2,0,\n")
         with pytest.raises(DataError, match="empty action"):
             read_symbol_series(path)
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-99999999999999999999"])
+    @pytest.mark.parametrize("column", ["s", "a"])
+    def test_symbol_beyond_int64_names_its_line(self, tmp_path, cell, column):
+        row = f"1,{cell},0" if column == "s" else f"1,0,{cell}"
+        path = self.write(tmp_path, f"t,s,a\n0,0,1\n{row}\n2,1,\n")
+        with pytest.raises(DataError, match=rf":3: column {column} symbol {cell} "):
+            read_symbol_series(path)

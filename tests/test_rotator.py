@@ -7,14 +7,12 @@ from morphocomp.rotator import (
     ACTION_BINNER,
     SENSOR_BINNER,
     NumericalError,
-    PendulumState,
     RotatorConfig,
     control_force,
-    controller,
-    dynamics_step,
     run_episode,
     sweep,
     total_energy,
+    _integrate,
     _simulate_batch,
 )
 
@@ -42,53 +40,49 @@ def fine_step_reference(theta, theta_dot, f, cfg, duration, h=1e-6):
     return theta, theta_dot
 
 
+def free_swing_energy_drift(seconds):
+    """Relative energy change of the unforced pendulum after `seconds`.
+
+    Starts at the target velocity and steps one length-1 lane through
+    `_integrate` in 0.01 s control periods, as the simulator does.
+    """
+    theta, theta_dot = np.zeros(1), np.full(1, 2 * math.pi)
+    start = total_energy(theta, theta_dot, CFG)
+    for _ in range(100 * seconds):
+        theta, theta_dot = _integrate(theta, theta_dot, 0.0, CFG, 0.01)
+    return float(abs(total_energy(theta, theta_dot, CFG) - start)[0] / abs(start[0]))
+
+
 class TestDynamics:
     def test_equilibrium_is_stationary(self):
         theta = 0.4
-        state = PendulumState(theta=theta, theta_dot=0.0)
         f = CFG.mass * CFG.gravity * math.sin(theta)
-        moved = dynamics_step(state, f, CFG, 0.01)
-        assert moved.theta == pytest.approx(theta, abs=1e-12)
-        assert moved.theta_dot == pytest.approx(0.0, abs=1e-12)
-        assert moved.time == pytest.approx(0.01)
+        moved_theta, moved_theta_dot = _integrate(theta, 0.0, f, CFG, 0.01)
+        assert moved_theta == pytest.approx(theta, abs=1e-12)
+        assert moved_theta_dot == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_fine_step_reference(self):
-        state = PendulumState(theta=0.0, theta_dot=2 * math.pi)
-        stepped = dynamics_step(state, 0.0, CFG, 0.01)
+        stepped = _integrate(0.0, 2 * math.pi, 0.0, CFG, 0.01)
         ref_theta, ref_theta_dot = fine_step_reference(0.0, 2 * math.pi, 0.0, CFG, 0.01)
-        assert stepped.theta == pytest.approx(ref_theta, abs=1e-8)
-        assert stepped.theta_dot == pytest.approx(ref_theta_dot, abs=1e-8)
+        assert stepped[0] == pytest.approx(ref_theta, abs=1e-8)
+        assert stepped[1] == pytest.approx(ref_theta_dot, abs=1e-8)
 
     def test_matches_reference_with_force_and_friction(self):
         cfg = RotatorConfig(friction=0.3)
-        state = PendulumState(theta=1.0, theta_dot=3.0)
-        stepped = dynamics_step(state, 4.0, cfg, 0.01)
+        stepped = _integrate(np.array([1.0]), np.array([3.0]), 4.0, cfg, 0.01)
         ref = fine_step_reference(1.0, 3.0, 4.0, cfg, 0.01)
-        assert stepped.theta == pytest.approx(ref[0], abs=1e-8)
-        assert stepped.theta_dot == pytest.approx(ref[1], abs=1e-8)
+        assert stepped[0][0] == pytest.approx(ref[0], abs=1e-8)
+        assert stepped[1][0] == pytest.approx(ref[1], abs=1e-8)
 
     def test_energy_conserved_without_force(self):
-        theta, theta_dot = 0.0, 2 * math.pi
-        start = total_energy(theta, theta_dot, CFG)
-        state = PendulumState(theta, theta_dot)
         seconds = 50
-        for _ in range(100 * seconds):
-            state = dynamics_step(state, 0.0, CFG, 0.01)
-        drift = abs(total_energy(state.theta, state.theta_dot, CFG) - start) / abs(start)
-        assert drift < 1e-6 * seconds
+        assert free_swing_energy_drift(seconds) < 1e-6 * seconds
 
     def test_divergence_reported(self):
-        state = PendulumState(0.0, 1.0)
-        with pytest.raises(NumericalError):
-            dynamics_step(state, float("nan"), CFG, 0.01)
-
-    def test_nonfinite_state_rejected(self):
-        with pytest.raises(NumericalError):
-            PendulumState(float("inf"), 0.0)
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            dynamics_step(PendulumState(0.0, 0.0), 0.0, CFG, 0.0)
+        cfg = RotatorConfig(f_max=1e308, steps=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                _simulate_batch(cfg, [np.random.SeedSequence(0)])
 
 
 class TestController:
@@ -128,20 +122,24 @@ class TestController:
         assert g_neg == pytest.approx(1.0, abs=1e-9)  # sign flip saturates the clamp
 
     def test_controller_draws_noise(self):
-        cfg = RotatorConfig(eta=0.25)
-        rng = np.random.default_rng(3)
-        s1, _ = controller(2.0, cfg, rng)
-        assert s1 != 2.0
-        rng2 = np.random.default_rng(3)
-        s2, _ = controller(2.0, cfg, rng2)
-        assert s1 == s2
+        cfg = RotatorConfig(eta=0.25, steps=50)
+        velocities, sensors, g_clamped, forces = _simulate_batch(
+            cfg, [np.random.SeedSequence(3)]
+        )
+        assert np.all(sensors != velocities)
+        assert np.abs(sensors - velocities).max() <= 0.25 * cfg.theta_dot_target
+        again = _simulate_batch(cfg, [np.random.SeedSequence(3)])
+        np.testing.assert_array_equal(sensors, again[1])
+        g_direct, f_direct = control_force(sensors[:, :-1], cfg)
+        np.testing.assert_array_equal(g_clamped, g_direct)
+        np.testing.assert_array_equal(forces, f_direct)
 
     def test_noiseless_controller_is_exact(self):
-        cfg = RotatorConfig(eta=0.0)
-        s, f = controller(3.0, cfg, np.random.default_rng(0))
-        assert s == 3.0
-        _, f_direct = control_force(3.0, cfg)
-        assert f == f_direct
+        cfg = RotatorConfig(eta=0.0, beta=0.5, steps=50)
+        velocities, sensors, _, forces = _simulate_batch(cfg, [np.random.SeedSequence(0)])
+        np.testing.assert_array_equal(sensors, velocities)
+        _, f_direct = control_force(velocities[:, :-1], cfg)
+        np.testing.assert_array_equal(forces, f_direct)
 
 
 class TestEpisodes:
@@ -277,6 +275,9 @@ class TestConfigFile:
         path.write_text("version = 1\nbeta = 1\nbeta = 2\n")
         with pytest.raises(DataError, match="duplicate"):
             load_config(path)
+        path.write_text("version = 1\nbeta = nan\n")
+        with pytest.raises(DataError, match="beta must be finite"):
+            load_config(path)
 
 
 class TestConfigValidation:
@@ -289,6 +290,12 @@ class TestConfigValidation:
             {"eta": -0.1},
             {"beta": -0.1},
             {"seed": -1},
+            {"beta": float("nan")},
+            {"eta": float("nan")},
+            {"eta": float("inf")},
+            {"f_max": float("inf")},
+            {"control_dt": float("nan")},
+            {"friction": float("-inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__, binary, rotator
@@ -91,20 +92,24 @@ def _write_json(path: Path, document, sort_keys: bool = True) -> None:
         handle.write("\n")
 
 
-def _write_table(out: Path, stem: str, fmt: str, columns, reports: list[MeasureReport]) -> Path:
+def _write_table(out: Path, stem: str, fmt: str, columns, reports: Iterable[MeasureReport]) -> Path:
     """Write one row per report, its metadata and values picked by `columns`.
 
     `fmt` "json" writes `<stem>.json`, a list of records in column order;
-    anything else writes `<stem>.csv`.
+    anything else writes `<stem>.csv`.  The reports may be a stream: CSV
+    rows are written as they arrive, and a stream that fails leaves no
+    partial table behind.
     """
-    # a generator, so a CSV table is written without holding its rows
     records = ({**report.metadata, **report.values} for report in reports)
-    if fmt == "json":
-        path = out / f"{stem}.json"
-        _write_json(path, [{c: record[c] for c in columns} for record in records], sort_keys=False)
-    else:
-        path = out / f"{stem}.csv"
-        _write_csv(path, columns, ([record[c] for c in columns] for record in records))
+    path = out / f"{stem}.{'json' if fmt == 'json' else 'csv'}"
+    try:
+        if fmt == "json":
+            _write_json(path, [{c: record[c] for c in columns} for record in records], sort_keys=False)
+        else:
+            _write_csv(path, columns, ([record[c] for c in columns] for record in records))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -172,6 +177,7 @@ def cmd_binary_sweep(args) -> int:
     psi = args.psi if args.psi is not None else list(binary.DEFAULT_GRID)
     mu = args.mu if args.mu is not None else list(binary.DEFAULT_MU_VALUES)
     reports = binary.sweep(phi, psi, mu, zeta=args.zeta, tau=args.tau)
+    points = len(phi) * len(psi) * len(mu)
     out = _ensure_out(args)
     table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, reports)
     _write_manifest(
@@ -188,7 +194,7 @@ def cmd_binary_sweep(args) -> int:
         None,
         [table_path.name],
     )
-    print(f"{len(reports)} grid points -> {table_path}")
+    print(f"{points} grid points -> {table_path}")
     return 0
 
 

@@ -153,8 +153,10 @@ def read_symbol_series(
     otherwise the trailing action has no observed successor and is dropped.
     """
     path = Path(path)
+    # the file line of each data row, so messages name lines past blank rows
+    linenos: list[int] = []
     sensor_raw: list[str] = []
-    action_raw: list[tuple[int, str]] = []
+    action_raw: list[str] = []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -169,23 +171,24 @@ def read_symbol_series(
                 continue
             if len(row) < 3:
                 raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            linenos.append(lineno)
             sensor_raw.append(row[1].strip())
-            action_raw.append((lineno, row[2].strip()))
+            action_raw.append(row[2].strip())
     if not sensor_raw:
         raise DataError(f"{path}: no data rows")
 
-    final_blank = action_raw[-1][1] == ""
+    final_blank = action_raw[-1] == ""
     if final_blank:
-        action_raw = action_raw[:-1]
-    for lineno, cell in action_raw:
-        if cell == "":
-            raise DataError(f"{path}:{lineno}: empty action before the final row")
+        action_raw.pop()
+    if "" in action_raw:
+        lineno = linenos[action_raw.index("")]
+        raise DataError(f"{path}:{lineno}: empty action before the final row")
 
     sensors, sensor_alphabet = _parse_column(
-        path, sensor_raw, sensor_binner, sensor_size, "s"
+        path, sensor_raw, linenos, sensor_binner, sensor_size, "s"
     )
     actions, action_alphabet = _parse_column(
-        path, [cell for _, cell in action_raw], action_binner, action_size, "a"
+        path, action_raw, linenos, action_binner, action_size, "a"
     )
     if not final_blank:
         # no successor recorded for the last action
@@ -193,14 +196,15 @@ def read_symbol_series(
     return SymbolSeries(sensors, actions), sensor_alphabet, action_alphabet
 
 
-def _parse_column(path, cells, binner, size, name):
+def _parse_column(path, cells, linenos, binner, size, name):
+    """Symbols of one column; cells[i] sits on file line linenos[i]."""
     if binner is not None:
         try:
             values = np.array([float(cell) for cell in cells])
         except ValueError as exc:
             raise DataError(f"{path}: column {name}: {exc}") from None
         if not np.isfinite(values).all():
-            row = int(np.argmax(~np.isfinite(values))) + 2
+            row = linenos[int(np.argmax(~np.isfinite(values)))]
             raise DataError(f"{path}:{row}: non-finite value in column {name}")
         return binner.index(values), binner.alphabet()
     symbols = np.empty(len(cells), dtype=np.int64)
@@ -209,20 +213,20 @@ def _parse_column(path, cells, binner, size, name):
             symbols[i] = int(cell)
         except ValueError:
             raise DataError(
-                f"{path}:{i + 2}: column {name} holds {cell!r}; real-valued "
+                f"{path}:{linenos[i]}: column {name} holds {cell!r}; real-valued "
                 "columns need a binner"
             ) from None
         except OverflowError:
             raise DataError(
-                f"{path}:{i + 2}: column {name} symbol {cell} does not fit in 64 bits"
+                f"{path}:{linenos[i]}: column {name} symbol {cell} does not fit in 64 bits"
             ) from None
     if (symbols < 0).any():
-        row = int(np.argmax(symbols < 0)) + 2
+        row = linenos[int(np.argmax(symbols < 0))]
         raise DataError(f"{path}:{row}: negative symbol in column {name}")
     if size is None:
         size = int(symbols.max()) + 1 if len(symbols) else 1
     elif len(symbols) and int(symbols.max()) >= size:
-        row = int(np.argmax(symbols == symbols.max())) + 2
+        row = linenos[int(np.argmax(symbols == symbols.max()))]
         raise DataError(
             f"{path}:{row}: column {name} symbol {int(symbols.max())} does not "
             f"fit alphabet of size {size}"

@@ -20,6 +20,13 @@ Concept 2 (proportional to the world's influence on itself):
 World-level and sensor-level entry points are deliberately distinct even
 though the arithmetic coincides: empirical callers never see the true world
 state and must not conflate the two readings.
+
+Each measure has one implementation, an array core on stacks of checked
+tables with a leading batch axis: joints (B,X,Y,Z), or models given as
+prior p(s) (B,S), policy p(a|s) (B,S,A) and world model p(s'|s,a)
+(B,S,A,S).  A batch of models, such as the points of a binary sweep, is
+measured in one pass.  The functions on validated objects (``mc_a`` ...
+``c_w``, ``intrinsic_measures``) call the core with a batch of one.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ from .prob import (
     Kernel2,
     Kernel3,
     SupportError,
-    compose_joint,
-    conditional_mutual_information,
-    entropy_normalizer,
+    check_probs,
+    cmi_arrays,
+    compose_arrays,
+    log_size,
 )
 
 MEASURE_NAMES = ("mc_a", "mc_w", "asoc_a", "asoc_w", "c_a", "c_a_d", "c_w")
@@ -108,12 +116,30 @@ class MeasureReport:
         return self.values[name]
 
 
-def _square_normalizer(joint: Joint3) -> float:
-    if joint.x.size != joint.z.size:
+def _square_log_size(P: np.ndarray) -> float:
+    if P.shape[1] != P.shape[3]:
         raise DimensionError(
             "current-state and next-state axes must share one alphabet"
         )
-    return entropy_normalizer(joint.z)
+    return log_size(P.shape[3])
+
+
+def action_effect(P: np.ndarray) -> np.ndarray:
+    """1 - I(Z; Y | X) / ln|Z| for stacked joints P of shape (B,X,Y,Z).
+
+    The first concept (the action's missing effect) behind :func:`mc_a` and
+    :func:`asoc_a`, one value per joint.
+    """
+    return 1.0 - cmi_arrays(P, given=0) / _square_log_size(P)
+
+
+def world_effect(P: np.ndarray) -> np.ndarray:
+    """I(Z; X | Y) / ln|Z| for stacked joints P of shape (B,X,Y,Z).
+
+    The second concept (the world's own effect) behind :func:`mc_w` and
+    :func:`asoc_w`, one value per joint.
+    """
+    return cmi_arrays(P, given=1) / _square_log_size(P)
 
 
 def mc_a(joint: Joint3) -> float:
@@ -121,7 +147,7 @@ def mc_a(joint: Joint3) -> float:
 
     1 - I(W'; A | W) / ln|W| on a joint p(w, a, w').
     """
-    return 1.0 - conditional_mutual_information(joint, source=1, given=0) / _square_normalizer(joint)
+    return float(action_effect(joint.probs[None])[0])
 
 
 def mc_w(joint: Joint3) -> float:
@@ -129,17 +155,51 @@ def mc_w(joint: Joint3) -> float:
 
     I(W'; W | A) / ln|W| on a joint p(w, a, w').
     """
-    return conditional_mutual_information(joint, source=0, given=1) / _square_normalizer(joint)
+    return float(world_effect(joint.probs[None])[0])
 
 
 def asoc_a(joint: Joint3) -> float:
     """Sensor-level reading of :func:`mc_a` on a joint p(s, a, s')."""
-    return 1.0 - conditional_mutual_information(joint, source=1, given=0) / _square_normalizer(joint)
+    return float(action_effect(joint.probs[None])[0])
 
 
 def asoc_w(joint: Joint3) -> float:
     """Sensor-level reading of :func:`mc_w` on a joint p(s, a, s')."""
-    return conditional_mutual_information(joint, source=0, given=1) / _square_normalizer(joint)
+    return float(world_effect(joint.probs[None])[0])
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true entry of a stacked mask, without the batch axis."""
+    return tuple(int(i) for i in np.argwhere(mask)[0][1:])
+
+
+def _do_a(prior: np.ndarray, world: np.ndarray) -> np.ndarray:
+    return check_probs(np.einsum("bs,bsat->bat", prior, world), "kernel")
+
+
+def _do_s(policy: np.ndarray, rows_a: np.ndarray) -> np.ndarray:
+    return check_probs(np.matmul(policy, rows_a), "kernel")
+
+
+def _action_prior(prior: np.ndarray, policy: np.ndarray) -> np.ndarray:
+    return check_probs(np.matmul(prior[:, None, :], policy)[:, 0, :], "distribution")
+
+
+def _cif(K: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    weights = prior[:, :, None] * K
+    mixture = np.matmul(prior[:, None, :], K)
+    ratio = np.ones_like(K)
+    np.divide(K, mixture, out=ratio, where=weights > 0)
+    value = np.sum(weights * np.log(ratio), axis=(1, 2), where=weights > 0)
+    return np.where(value > 0.0, value, 0.0)
+
+
+def _model_arrays(model: IntrinsicModel):
+    return (
+        model.sensor_prior.probs[None],
+        model.policy.rows[None],
+        model.world_model.entries[None],
+    )
 
 
 def do_a(model: IntrinsicModel) -> Kernel2:
@@ -148,19 +208,21 @@ def do_a(model: IntrinsicModel) -> Kernel2:
     Identifiable from observational data because the action screens off the
     sensor on the path into the next sensor state.
     """
-    rows = np.einsum("s,sat->at", model.sensor_prior.probs, model.world_model.entries)
-    return Kernel2(model.action_alphabet, model.sensor_alphabet, rows)
+    prior, _, world = _model_arrays(model)
+    return Kernel2(model.action_alphabet, model.sensor_alphabet, _do_a(prior, world)[0])
 
 
 def do_s(model: IntrinsicModel) -> Kernel2:
     """Interventional kernel p(s'|do(s)) = sum_a p(a|s) p(s'|do(a))."""
-    rows = model.policy.rows @ do_a(model).rows
+    prior, policy, world = _model_arrays(model)
+    rows = _do_s(policy, _do_a(prior, world))[0]
     return Kernel2(model.sensor_alphabet, model.sensor_alphabet, rows)
 
 
 def action_prior(model: IntrinsicModel) -> Distribution:
     """Marginal action distribution p(a) = sum_s p(s) p(a|s)."""
-    return Distribution(model.action_alphabet, model.sensor_prior.probs @ model.policy.rows)
+    prior, policy, _ = _model_arrays(model)
+    return Distribution(model.action_alphabet, _action_prior(prior, policy)[0])
 
 
 def cif(kernel: Kernel2, prior: Distribution) -> float:
@@ -171,13 +233,29 @@ def cif(kernel: Kernel2, prior: Distribution) -> float:
     """
     if kernel.source != prior.alphabet:
         raise DimensionError("cif prior must range over the kernel's source alphabet")
-    K = kernel.rows
-    weights = prior.probs[:, None] * K
-    mixture = prior.probs @ K
-    ratio = np.ones_like(K)
-    np.divide(K, mixture[None, :], out=ratio, where=weights > 0)
-    value = float(np.sum(weights * np.log(ratio), where=weights > 0))
-    return value if value > 0.0 else 0.0
+    return float(_cif(kernel.rows[None], prior.probs[None])[0])
+
+
+def _c_a(prior: np.ndarray, policy: np.ndarray, world: np.ndarray) -> np.ndarray:
+    log_n = log_size(prior.shape[1])
+    rows_a = _do_a(prior, world)
+    rows_s = _do_s(policy, rows_a)
+    p_a = _action_prior(prior, policy)
+
+    flow_form = 1.0 + (_cif(rows_s, prior) - _cif(rows_a, p_a)) / log_n
+
+    weights = prior[:, :, None] * policy  # p(s, a)
+    div = _interventional_divergence(weights, rows_a, rows_s)
+    kl_form = 1.0 - div / log_n
+
+    disagree = np.abs(flow_form - kl_form) > DUAL_FORM_TOL
+    if disagree.any():
+        b = int(np.argmax(disagree))
+        raise ConsistencyError(
+            f"causal-measure forms disagree: flow {float(flow_form[b])!r} "
+            f"vs kl {float(kl_form[b])!r}"
+        )
+    return kl_form
 
 
 def c_a(model: IntrinsicModel) -> float:
@@ -188,46 +266,31 @@ def c_a(model: IntrinsicModel) -> float:
       1 - D(p(s'|do(a)) || p(s'|do(s))) / ln|S|  weighted by p(s,a),
     checks that they agree to :data:`DUAL_FORM_TOL` and returns the value.
     """
-    log_n = entropy_normalizer(model.sensor_alphabet)
-    kernel_a = do_a(model)
-    kernel_s = do_s(model)
-    p_s = model.sensor_prior
-    p_a = action_prior(model)
-
-    flow_form = 1.0 + (cif(kernel_s, p_s) - cif(kernel_a, p_a)) / log_n
-
-    weights = p_s.probs[:, None] * model.policy.rows  # p(s, a)
-    div = _interventional_divergence(weights, kernel_a.rows, kernel_s.rows)
-    kl_form = 1.0 - div / log_n
-
-    if abs(flow_form - kl_form) > DUAL_FORM_TOL:
-        raise ConsistencyError(
-            f"causal-measure forms disagree: flow {flow_form!r} vs kl {kl_form!r}"
-        )
-    return kl_form
+    return float(_c_a(*_model_arrays(model))[0])
 
 
 def _interventional_divergence(
     weights: np.ndarray, rows_a: np.ndarray, rows_c: np.ndarray
-) -> float:
+) -> np.ndarray:
     """sum_{c,a} w(c,a) sum_z rows_a(z|a) ln[ rows_a(z|a) / rows_c(z|c) ].
 
-    weights has shape (C, A); rows_a (A, Z); rows_c (C, Z).
+    weights has shape (B, C, A); rows_a (B, A, Z); rows_c (B, C, Z).
     """
-    p = rows_a[None, :, :]
-    q = rows_c[:, None, :]
-    active = (weights[:, :, None] > 0) & (p > 0)
-    if bool((active & (q == 0)).any()):
-        index = np.argwhere(active & (q == 0))[0]
+    p = rows_a[:, None, :, :]
+    q = rows_c[:, :, None, :]
+    active = (weights[:, :, :, None] > 0) & (p > 0)
+    missing = active & (q == 0)
+    if missing.any():
+        index = _first(missing)
         raise SupportError(
             "intervened-on-state kernel has zero mass where the action kernel "
-            f"is positive at (c, a, z) = {tuple(int(i) for i in index)}",
-            index=tuple(int(i) for i in index),
+            f"is positive at (c, a, z) = {index}",
+            index=index,
         )
     ratio = np.ones(np.broadcast_shapes(p.shape, q.shape))
     np.divide(p, q, out=ratio, where=active)
-    inner = np.sum(np.broadcast_to(p, ratio.shape) * np.log(ratio), axis=2, where=active)
-    return float(np.sum(weights * inner))
+    inner = np.sum(np.broadcast_to(p, ratio.shape) * np.log(ratio), axis=3, where=active)
+    return np.sum(weights * inner, axis=(1, 2))
 
 
 def c_a_deliberative(
@@ -258,9 +321,51 @@ def c_a_deliberative(
     if np.abs(joint_ca - expected).max() > RANGE_TOL:
         raise ConsistencyError("joint p(c,a) is inconsistent with prior and policy")
 
-    log_n = entropy_normalizer(do_a_kernel.target)
-    div = _interventional_divergence(joint_ca, do_a_kernel.rows, do_c_kernel.rows)
-    return 1.0 - div / log_n
+    log_n = log_size(do_a_kernel.target.size)
+    div = _interventional_divergence(
+        joint_ca[None], do_a_kernel.rows[None], do_c_kernel.rows[None]
+    )
+    return float(1.0 - div[0] / log_n)
+
+
+def _c_w(prior: np.ndarray, policy: np.ndarray, world: np.ndarray) -> np.ndarray:
+    log_n = log_size(prior.shape[1])
+    p_next_given_s = np.einsum("bsa,bsat->bst", policy, world)
+    p_a = np.matmul(prior[:, None, :], policy)[:, 0, :]
+    unreachable = (p_a == 0) & (policy.max(axis=1) > 0)
+    if unreachable.any():
+        (index,) = _first(unreachable)
+        raise SupportError(
+            f"action {index} has policy mass but zero marginal probability",
+            index=index,
+        )
+    numer = np.einsum("bsat,bsa,bs->bat", world, policy, prior)
+    p_next_given_a = np.divide(
+        numer, p_a[:, :, None], out=np.zeros_like(numer), where=p_a[:, :, None] > 0
+    )
+    severed = np.matmul(policy, p_next_given_a)  # ptilde(s'|s)
+
+    row_dev = np.abs(severed.sum(axis=2) - 1.0)
+    if (row_dev > RANGE_TOL).any():
+        b = int(np.argmax((row_dev > RANGE_TOL).any(axis=1)))
+        raise ConsistencyError(
+            f"severed world model rows sum to 1 +/- {row_dev[b].max():.3e}"
+        )
+
+    weights = prior[:, :, None] * p_next_given_s
+    active = weights > 0
+    missing = active & (severed == 0)
+    if missing.any():
+        index = _first(missing)
+        raise SupportError(
+            "severed world model has zero mass on an observed transition "
+            f"(s, s') = {index}",
+            index=index,
+        )
+    ratio = np.ones_like(severed)
+    np.divide(p_next_given_s, severed, out=ratio, where=active)
+    value = np.sum(weights * np.log(ratio), axis=(1, 2), where=active)
+    return np.where(0.0 > value, 0.0, value) / log_n
 
 
 def c_w(model: IntrinsicModel) -> float:
@@ -272,65 +377,39 @@ def c_w(model: IntrinsicModel) -> float:
       ptilde(s'|s) = sum_a p(a|s) sum_s'' p(s'|s'',a) p(a|s'') p(s'') / p(a),
     and returns D(p(s'|s) || ptilde(s'|s)) / ln|S| under the prior p(s).
     """
-    log_n = entropy_normalizer(model.sensor_alphabet)
-    p = model.sensor_prior.probs
-    pi = model.policy.rows
-    world = model.world_model.entries
-
-    p_next_given_s = np.einsum("sa,sat->st", pi, world)
-    p_a = p @ pi
-    unreachable = (p_a == 0) & (pi.max(axis=0) > 0)
-    if unreachable.any():
-        index = int(np.argmax(unreachable))
-        raise SupportError(
-            f"action {index} has policy mass but zero marginal probability",
-            index=index,
-        )
-    numer = np.einsum("sat,sa,s->at", world, pi, p)
-    p_next_given_a = np.divide(
-        numer, p_a[:, None], out=np.zeros_like(numer), where=p_a[:, None] > 0
-    )
-    severed = pi @ p_next_given_a  # ptilde(s'|s)
-
-    row_dev = np.abs(severed.sum(axis=1) - 1.0).max()
-    if row_dev > RANGE_TOL:
-        raise ConsistencyError(
-            f"severed world model rows sum to 1 +/- {row_dev:.3e}"
-        )
-
-    weights = p[:, None] * p_next_given_s
-    active = weights > 0
-    if bool((active & (severed == 0)).any()):
-        index = np.argwhere(active & (severed == 0))[0]
-        raise SupportError(
-            "severed world model has zero mass on an observed transition "
-            f"(s, s') = {tuple(int(i) for i in index)}",
-            index=tuple(int(i) for i in index),
-        )
-    ratio = np.ones_like(severed)
-    np.divide(p_next_given_s, severed, out=ratio, where=active)
-    value = float(np.sum(weights * np.log(ratio), where=active))
-    return max(value, 0.0) / log_n
+    return float(_c_w(*_model_arrays(model))[0])
 
 
 INTRINSIC_MEASURES = ("asoc_a", "asoc_w", "c_a", "c_w")
+
+
+def intrinsic_values(
+    prior: np.ndarray, policy: np.ndarray, world: np.ndarray, names=INTRINSIC_MEASURES
+) -> dict[str, np.ndarray]:
+    """A named subset of the intrinsic measures on stacked models, one value per model.
+
+    prior (B,S), policy (B,S,A) and world (B,S,A,S) must already be checked
+    probability tables (see :func:`check_probs`).
+    """
+    values: dict[str, np.ndarray] = {}
+    joint = None
+    for name in names:
+        if name in ("asoc_a", "asoc_w"):
+            if joint is None:
+                joint = compose_arrays(prior, policy, world)
+            values[name] = action_effect(joint) if name == "asoc_a" else world_effect(joint)
+        elif name == "c_a":
+            values[name] = _c_a(prior, policy, world)
+        elif name == "c_w":
+            values[name] = _c_w(prior, policy, world)
+        else:
+            raise ValueError(f"{name!r} is not an intrinsic measure")
+    return values
 
 
 def intrinsic_measures(
     model: IntrinsicModel, names=INTRINSIC_MEASURES
 ) -> dict[str, float]:
     """Evaluate a named subset of the intrinsic measures on one model."""
-    values: dict[str, float] = {}
-    joint = None
-    for name in names:
-        if name in ("asoc_a", "asoc_w"):
-            if joint is None:
-                joint = compose_joint(model.sensor_prior, model.policy, model.world_model)
-            values[name] = asoc_a(joint) if name == "asoc_a" else asoc_w(joint)
-        elif name == "c_a":
-            values[name] = c_a(model)
-        elif name == "c_w":
-            values[name] = c_w(model)
-        else:
-            raise ValueError(f"{name!r} is not an intrinsic measure")
-    return values
+    values = intrinsic_values(*_model_arrays(model), names)
+    return {name: float(value[0]) for name, value in values.items()}

@@ -6,6 +6,11 @@ package are small (at most a few dozen symbols), so everything is dense.
 All objects are immutable after construction and all operations are pure
 functions; values can be shared freely across threads.
 
+The checks and the arithmetic that the measures batch (``check_probs``,
+``compose_arrays``, ``chain_arrays``, ``cmi_arrays``) work on stacks of
+tables with a leading batch axis; the objects and their functions use them
+with a batch of one.
+
 Zero handling follows the usual information-theoretic conventions:
 terms with p = 0 contribute nothing to divergences (0 * ln 0 = 0), while
 p > 0 against q = 0 is reported as a :class:`SupportError` instead of
@@ -61,21 +66,32 @@ def _normalized(arr: np.ndarray, axis, name: str) -> np.ndarray:
     return arr
 
 
-def _validate(obj, field: str, shape: tuple, sum_axis, name: str) -> None:
-    """Check, normalise and freeze the array `obj.<field>` in place.
+def check_probs(arr: np.ndarray, name: str, whole: bool = False) -> np.ndarray:
+    """Validate a stack of probability tables with a leading batch axis.
 
-    The one validation path of every probability object: finite and
-    non-negative entries, the shape its alphabets imply, sums over
-    `sum_axis` within the tolerances of :func:`_normalized`, read-only.
+    Entries must be finite and non-negative; each row (the last axis), or
+    each whole table after the batch axis when `whole`, must sum to one
+    within the tolerances of :func:`_normalized`.  Returns the array,
+    renormalised where it drifted.
     """
-    arr = np.array(getattr(obj, field), dtype=np.float64)
     if not np.isfinite(arr).all():
         raise InvalidDistributionError(f"{name} contains non-finite entries")
     if (arr < 0).any():
         raise InvalidDistributionError(f"{name} contains negative entries")
+    axis = tuple(range(1, arr.ndim)) if whole else -1
+    return _normalized(arr, axis=axis, name=name)
+
+
+def _validate(obj, field: str, shape: tuple, name: str, whole: bool = False) -> None:
+    """Check, normalise and freeze the array `obj.<field>` in place.
+
+    The one validation path of every probability object: the shape its
+    alphabets imply, then :func:`check_probs` as a batch of one, read-only.
+    """
+    arr = np.array(getattr(obj, field), dtype=np.float64)
     if arr.shape != shape:
         raise DimensionError(f"{name} of shape {arr.shape}, expected {shape}")
-    arr = _normalized(arr, axis=sum_axis, name=name)
+    arr = check_probs(arr[None], name, whole)[0]
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
 
@@ -107,7 +123,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        _validate(self, "probs", (self.alphabet.size,), -1, "distribution")
+        _validate(self, "probs", (self.alphabet.size,), "distribution")
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "Distribution":
@@ -129,7 +145,7 @@ class Kernel2:
     rows: np.ndarray  # shape (|source|, |target|)
 
     def __post_init__(self):
-        _validate(self, "rows", (self.source.size, self.target.size), -1, "kernel")
+        _validate(self, "rows", (self.source.size, self.target.size), "kernel")
 
     @classmethod
     def uniform(cls, source: Alphabet, target: Alphabet) -> "Kernel2":
@@ -157,7 +173,7 @@ class Kernel3:
 
     def __post_init__(self):
         shape = (self.source1.size, self.source2.size, self.target.size)
-        _validate(self, "entries", shape, -1, "kernel")
+        _validate(self, "entries", shape, "kernel")
 
     @classmethod
     def uniform(cls, source1: Alphabet, source2: Alphabet, target: Alphabet) -> "Kernel3":
@@ -177,7 +193,16 @@ class Joint3:
     probs: np.ndarray  # shape (|x|, |y|, |z|)
 
     def __post_init__(self):
-        _validate(self, "probs", (self.x.size, self.y.size, self.z.size), None, "joint")
+        _validate(self, "probs", (self.x.size, self.y.size, self.z.size), "joint", whole=True)
+
+
+def compose_arrays(prior: np.ndarray, policy: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Stacked joints p(x,y,z) = p(x) p(y|x) p(z|x,y), checked as whole tables.
+
+    prior (B,X), policy (B,X,Y) and kernel (B,X,Y,Z) give joints (B,X,Y,Z).
+    """
+    probs = prior[:, :, None, None] * policy[:, :, :, None] * kernel
+    return check_probs(probs, "joint", whole=True)
 
 
 def compose_joint(prior: Distribution, policy: Kernel2, kernel: Kernel3) -> Joint3:
@@ -186,7 +211,7 @@ def compose_joint(prior: Distribution, policy: Kernel2, kernel: Kernel3) -> Join
         raise DimensionError("policy source alphabet differs from prior alphabet")
     if kernel.source1 != prior.alphabet or kernel.source2 != policy.target:
         raise DimensionError("kernel conditioning alphabets differ from prior/policy")
-    probs = prior.probs[:, None, None] * policy.rows[:, :, None] * kernel.entries
+    probs = compose_arrays(prior.probs[None], policy.rows[None], kernel.entries[None])[0]
     return Joint3(prior.alphabet, policy.target, kernel.target, probs)
 
 
@@ -213,6 +238,28 @@ def kl(p: Distribution, q: Distribution) -> float:
     return value if value > 0.0 else 0.0
 
 
+def cmi_arrays(P: np.ndarray, given: int) -> np.ndarray:
+    """I(Z; source | given) in nats for stacked joints P of shape (B,X,Y,Z).
+
+    Axis `given` (0 for X, 1 for Y, counted after the batch axis) is
+    conditioned on and the other is the source; equals
+    sum_{x,y,z} p(x,y,z) ln[ p(z|x,y) / p(z|given) ] for each joint.
+    """
+    p_xy = P.sum(axis=3)
+    if given == 0:
+        p_g = P.sum(axis=(2, 3))[:, :, None, None]
+        p_gz = P.sum(axis=2)[:, :, None, :]
+    else:
+        p_g = P.sum(axis=(1, 3))[:, None, :, None]
+        p_gz = P.sum(axis=1)[:, None, :, :]
+    num = P * p_g
+    den = p_xy[:, :, :, None] * p_gz
+    ratio = np.ones_like(P)
+    np.divide(num, den, out=ratio, where=P > 0)
+    value = np.sum(P * np.log(ratio), axis=(1, 2, 3), where=P > 0)
+    return np.where(value > 0.0, value, 0.0)
+
+
 def conditional_mutual_information(joint: Joint3, source: int, given: int) -> float:
     """I(Z; source | given) in nats, with Z fixed as axis 2.
 
@@ -221,33 +268,26 @@ def conditional_mutual_information(joint: Joint3, source: int, given: int) -> fl
     """
     if {source, given} != {0, 1}:
         raise ValueError("source/given must be axes 0 and 1 in either order")
-    P = joint.probs
-    p_xy = P.sum(axis=2)
-    if given == 0:
-        p_g = P.sum(axis=(1, 2))[:, None, None]
-        p_gz = P.sum(axis=1)[:, None, :]
-    else:
-        p_g = P.sum(axis=(0, 2))[None, :, None]
-        p_gz = P.sum(axis=0)[None, :, :]
-    num = P * p_g
-    den = p_xy[:, :, None] * p_gz
-    ratio = np.ones_like(P)
-    np.divide(num, den, out=ratio, where=P > 0)
-    value = float(np.sum(P * np.log(ratio), where=P > 0))
-    return value if value > 0.0 else 0.0
+    return float(cmi_arrays(joint.probs[None], given)[0])
+
+
+def chain_arrays(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Stacked kernels p(z|x) = sum_y p(z|y) p(y|x) from (B,X,Y) and (B,Y,Z) rows."""
+    return check_probs(np.matmul(first, second), "kernel")
 
 
 def chain(first: Kernel2, second: Kernel2) -> Kernel2:
     """Compose kernels: p(z|x) = sum_y p(z|y) p(y|x)."""
     if first.target != second.source:
         raise DimensionError("chained kernels must share the middle alphabet")
-    return Kernel2(first.source, second.target, first.rows @ second.rows)
+    rows = chain_arrays(first.rows[None], second.rows[None])[0]
+    return Kernel2(first.source, second.target, rows)
 
 
-def entropy_normalizer(alphabet: Alphabet) -> float:
-    """ln|alphabet|, rejecting the degenerate single-symbol case."""
-    if alphabet.size < 2:
+def log_size(size: int) -> float:
+    """ln(size), rejecting the degenerate single-symbol case."""
+    if size < 2:
         raise DegenerateAlphabetError(
             "measures are undefined on a single-symbol alphabet (ln 1 = 0)"
         )
-    return math.log(alphabet.size)
+    return math.log(size)

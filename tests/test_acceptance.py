@@ -98,6 +98,18 @@ class TestIntrinsicFidelity:
         assert all(results)
 
 
+class TestBinarySweepRuntime:
+    def test_default_sweep_runtime(self):
+        start = time.perf_counter()
+        rows = sum(1 for _ in binary.sweep())
+        elapsed = time.perf_counter() - start
+        results = [
+            check("default 51x51x3 binary sweep yields 7803 rows", rows == 7803, f"{rows} rows"),
+            check("default 51x51x3 binary sweep runtime < 2 s", elapsed < 2.0, f"{elapsed:.3f} s"),
+        ]
+        assert all(results)
+
+
 CLEAN_TARGETS = {
     (0.0, 2.0): (0.99, 1.00, 0.54, 0.54),
     (0.0, 0.0): (0.96, 0.99, 0.01, 0.01),

@@ -1,6 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morphocomp import binary
 from morphocomp.binary import BinaryParams, intrinsic_model, kernels, point_measures, sweep, world_joint
 from morphocomp.measures import mc_a, mc_w
 from morphocomp.prob import SupportError
@@ -164,14 +169,45 @@ class TestMeasureSurfaces:
             assert mc_w(flipped) == pytest.approx(mc_w(joint), abs=1e-12)
 
     def test_sweep_grid_order_and_determinism(self):
-        grid = sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0)
+        grid = list(sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0))
         assert len(grid) == 4
         keys = [(r.metadata["phi"], r.metadata["psi"], r.metadata["mu"]) for r in grid]
         assert keys == [(0.0, 0.0, 0.0), (0.0, 0.0, 20.0), (1.0, 0.0, 0.0), (1.0, 0.0, 20.0)]
-        again = sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0)
+        again = list(sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0))
         for first, second in zip(grid, again):
             assert first.values == second.values
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep((), (0.0,), (0.0,))
+
+
+def row_bits(report):
+    """A report's grid point and values; hex keeps the sign of zero."""
+    point = tuple(report.metadata[k] for k in ("phi", "psi", "mu"))
+    return point, {name: value.hex() for name, value in report.values.items()}
+
+
+COUPLINGS = st.lists(st.floats(0.0, 25.0), min_size=1, max_size=4)
+
+
+class TestSweepEqualsPoints:
+    """The chunked array sweep against one-point evaluation."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        phi=COUPLINGS,
+        psi=COUPLINGS,
+        mu=COUPLINGS,
+        zeta=st.floats(0.0, 25.0),
+        tau=st.floats(-5.0, 5.0),
+    )
+    def test_rows_bitwise_equal_points_alone_for_any_chunking(self, phi, psi, mu, zeta, tau):
+        alone = [
+            row_bits(point_measures(p, s, m, zeta, tau)) for p, s, m in product(phi, psi, mu)
+        ]
+        for chunk in (1, 3, binary.SWEEP_CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(binary, "SWEEP_CHUNK", chunk)
+                rows = [row_bits(report) for report in sweep(phi, psi, mu, zeta=zeta, tau=tau)]
+            assert rows == alone

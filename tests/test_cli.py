@@ -131,6 +131,21 @@ class TestBinarySweepCommand:
         assert manifest["config"]["zeta"] == 20.0
         assert manifest["outputs"] == ["binary_sweep.csv"]
 
+    def test_failing_point_is_named(self, tmp_path, capsys):
+        # zeta = tau = 800 puts all sensor mass on one symbol at every point;
+        # the error names the first of them in grid order
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "binary-sweep", "--phi", "1", "2", "--psi", "1", "--mu", "0", "5",
+            "--zeta", "800", "--tau", "800", "--out", str(out),
+        )
+        assert code == 3
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: ")
+        assert "phi=1, psi=1, mu=0" in error
+        assert "zero marginal probability" in error
+        assert not (out / "binary_sweep.csv").exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep"
         run_cli(
@@ -256,6 +271,11 @@ class TestBadInputExitsTwo:
             ["rotator", "run", "--eta", "nan", "--steps", "50", "--out", "{out}"],
             ["rotator", "run", "--eta", "inf", "--steps", "50", "--out", "{out}"],
             ["binary-sweep", "--phi", "-1", "--psi", "0", "--mu", "0", "--out", "{out}"],
+            ["binary-sweep", "--phi", "nan", "--psi", "0", "--mu", "0", "--out", "{out}"],
+            ["binary-sweep", "--phi", "0", "--psi", "inf", "--mu", "0", "--out", "{out}"],
+            ["binary-sweep", "--phi", "0", "--psi", "0", "--mu", "0", "nan", "--out", "{out}"],
+            ["binary-sweep", "--phi", "0", "--psi", "0", "--mu", "0", "--zeta", "inf", "--out", "{out}"],
+            ["binary-sweep", "--phi", "0", "--psi", "0", "--mu", "0", "--tau", "nan", "--out", "{out}"],
             ["measure", "--input", "{series}", "--out", "{series}"],
             ["measure", "--input", "{tmp}"],
         ],
@@ -269,6 +289,11 @@ class TestBadInputExitsTwo:
             "run-eta-nan",
             "run-eta-inf",
             "binary-phi-negative",
+            "binary-phi-nan",
+            "binary-psi-inf",
+            "binary-mu-nan",
+            "binary-zeta-inf",
+            "binary-tau-nan",
             "measure-out-is-a-file",
             "measure-input-is-a-directory",
         ],

@@ -284,3 +284,19 @@ class TestCsv:
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n{row}\n2,1,\n")
         with pytest.raises(DataError, match=rf":3: column {column} symbol {cell} "):
             read_symbol_series(path)
+
+    @pytest.mark.parametrize(
+        "cell, options, message",
+        [
+            ("x", {}, "column s holds 'x'"),
+            ("nan", {"sensor_binner": Binner(0.0, 8.0, 30)}, "non-finite value in column s"),
+            ("-1", {}, "negative symbol in column s"),
+            ("7", {"sensor_size": 3}, "column s symbol 7 does not fit"),
+        ],
+        ids=["unparsable", "non-finite", "negative", "out-of-alphabet"],
+    )
+    def test_messages_name_the_file_line_past_blank_rows(self, tmp_path, cell, options, message):
+        # the bad cell sits on line 5, after two blank lines
+        path = self.write(tmp_path, f"t,s,a\n0,0,1\n\n\n1,{cell},0\n2,1,\n")
+        with pytest.raises(DataError, match=rf":5: {message}"):
+            read_symbol_series(path, **options)

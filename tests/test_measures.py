@@ -18,9 +18,11 @@ from morphocomp.measures import (
     do_a,
     do_s,
     intrinsic_measures,
+    intrinsic_values,
     mc_a,
     mc_w,
 )
+from morphocomp.estimation import estimate, joint_from_model
 from morphocomp.prob import (
     Alphabet,
     DegenerateAlphabetError,
@@ -82,6 +84,23 @@ def brute_cif(rows, prior):
             if prior[x] > 0 and rows[x, z] > 0:
                 total += prior[x] * rows[x, z] * math.log(rows[x, z] / mixture[z])
     return total
+
+
+def brute_c_a(model):
+    """1 - (1/ln n) sum_{s,a} p(s) p(a|s) D(p(.|do(a)) || p(.|do(s))) by explicit loops."""
+    p = model.sensor_prior.probs
+    pi = model.policy.rows
+    world = model.world_model.entries
+    n, m = pi.shape
+    do_a = [[sum(p[s] * world[s, a, t] for s in range(n)) for t in range(n)] for a in range(m)]
+    do_s = [[sum(pi[s, a] * do_a[a][t] for a in range(m)) for t in range(n)] for s in range(n)]
+    total = 0.0
+    for s in range(n):
+        for a in range(m):
+            for t in range(n):
+                if p[s] * pi[s, a] > 0 and do_a[a][t] > 0:
+                    total += p[s] * pi[s, a] * do_a[a][t] * math.log(do_a[a][t] / do_s[s][t])
+    return 1.0 - total / math.log(n)
 
 
 def brute_c_w(model):
@@ -315,8 +334,6 @@ class TestConditionalIndependenceMeasure:
 
     def test_never_exceeds_associative_reading(self, rng):
         # mixing with the policy can only lose divergence (joint convexity)
-        from morphocomp.estimation import estimate, joint_from_model
-
         for _ in range(50):
             model = random_model(rng, 4, 3)
             assert c_w(model) <= asoc_w(joint_from_model(model)) + 1e-12
@@ -343,6 +360,38 @@ class TestConditionalIndependenceMeasure:
         )
         with pytest.raises(SupportError):
             c_w(IntrinsicModel(*model_args))
+
+
+class TestStackedModels:
+    """The array core on a stack of models, as the batched callers use it."""
+
+    def test_stack_equals_each_model_alone(self, rng):
+        s, a = Alphabet(4), Alphabet(3)
+        series = [random_series(rng, int(rng.integers(1, 30)), s.size, a.size) for _ in range(25)]
+        # series this short leave (s, a) cells at the uniform pseudo-count
+        unvisited = 0
+        for one in series:
+            visited = np.zeros((s.size, a.size), dtype=bool)
+            visited[one.sensors[:-1], one.actions] = True
+            unvisited += int((~visited).sum())
+        assert unvisited > 0
+        models = [estimate(one, s, a) for one in series]
+        stacked = intrinsic_values(
+            np.stack([model.sensor_prior.probs for model in models]),
+            np.stack([model.policy.rows for model in models]),
+            np.stack([model.world_model.entries for model in models]),
+        )
+        for i, model in enumerate(models):
+            alone = intrinsic_measures(model)
+            # hex keeps the sign of zero, so equal strings mean equal bits
+            assert {k: v.hex() for k, v in alone.items()} == {
+                k: float(stacked[k][i]).hex() for k in alone
+            }
+            joint = joint_from_model(model).probs
+            assert alone["asoc_a"] == pytest.approx(brute_action_effect(joint), abs=1e-12)
+            assert alone["asoc_w"] == pytest.approx(brute_world_effect(joint), abs=1e-12)
+            assert alone["c_a"] == pytest.approx(brute_c_a(model), abs=1e-12)
+            assert alone["c_w"] == pytest.approx(brute_c_w(model), abs=1e-12)
 
 
 class TestMeasureReport:

@@ -285,7 +285,7 @@ def cmd_rotator_sweep(args) -> int:
         cfg.seed,
         [table_path.name],
     )
-    print(f"{len(reports)} cells x {args.runs} runs -> {table_path}")
+    print(f"{len(eta_values) * len(beta_values)} cells x {args.runs} runs -> {table_path}")
     return 0
 
 

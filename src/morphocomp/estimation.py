@@ -110,21 +110,13 @@ def estimate(
     _check_bounds(series.actions, action_alphabet, "action")
     n_s, n_a = sensor_alphabet.size, action_alphabet.size
     s_now = series.sensors[:-1]
-    s_next = series.sensors[1:]
-    a = series.actions
-
-    transitions = np.zeros((n_s, n_a, n_s))
-    np.add.at(transitions, (s_now, a, s_next), 1.0)
-    visits_sa = transitions.sum(axis=2)
+    triples = (s_now * n_a + series.actions) * n_s + series.sensors[1:]
+    transitions = np.bincount(triples, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
+    visits_sa = transitions.sum(axis=2).astype(np.float64)
     world = (transitions + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
-
-    pairs = np.zeros((n_s, n_a))
-    np.add.at(pairs, (s_now, a), 1.0)
-    visits_s = pairs.sum(axis=1)
-    policy = (pairs + 1.0 / n_a) / (visits_s + 1.0)[:, None]
-
-    counts = np.bincount(s_now, minlength=n_s).astype(np.float64)
-    prior = (counts + 1.0 / n_s) / (len(s_now) + 1.0)
+    visits_s = visits_sa.sum(axis=1)
+    policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
+    prior = (visits_s + 1.0 / n_s) / (len(s_now) + 1.0)
 
     return IntrinsicModel(
         Distribution(sensor_alphabet, prior),
@@ -199,10 +191,13 @@ def read_symbol_series(
 def _parse_column(path, cells, linenos, binner, size, name):
     """Symbols of one column; cells[i] sits on file line linenos[i]."""
     if binner is not None:
+        remaining = iter(cells)
         try:
-            values = np.array([float(cell) for cell in cells])
+            values = np.array([float(cell) for cell in remaining])
         except ValueError as exc:
-            raise DataError(f"{path}: column {name}: {exc}") from None
+            # the failing cell is the last one taken from `remaining`
+            row = linenos[len(cells) - 1 - sum(1 for _ in remaining)]
+            raise DataError(f"{path}:{row}: column {name}: {exc}") from None
         if not np.isfinite(values).all():
             row = linenos[int(np.argmax(~np.isfinite(values)))]
             raise DataError(f"{path}:{row}: non-finite value in column {name}")

@@ -22,7 +22,9 @@ force held constant over each period.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,9 @@ SENSOR_BINNER = Binner(0.0, 8.0, 30)
 ACTION_BINNER = Binner(-1.0, 1.0, 30)
 
 RK4_SUBSTEPS = 10
+
+# Episodes stepped together in a sweep: 41 MB of noise and 10 MB of symbols at 5,000 steps.
+SWEEP_CHUNK = 1024
 
 _INT_FIELDS = {"steps", "seed"}
 
@@ -151,20 +156,21 @@ def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float, substeps: int
     return theta, theta_dot
 
 
-def control_force(sensor, cfg: RotatorConfig):
-    """Controller response to a sensor reading.  Array-safe.
+def control_force(sensor, cfg: RotatorConfig, beta=None):
+    """Controller response to a sensor reading, with deadband `beta` (cfg.beta if None).
 
-    Returns (g_clamped, f): the response clipped to [-1, 1], and the force
-    actually applied, which is zero whenever the velocity error lies inside
-    the deadband.  Outside it the response is the error, reduced by the
-    deadband width and topped up by a minimum strength, both carrying the
-    sign of the sensor value (sign(0) counts as +1).
+    Array-safe, `beta` per lane too.  Returns (g_clamped, f): the response
+    clipped to [-1, 1], and the force actually applied, which is zero whenever
+    the velocity error lies inside the deadband.  Outside it the response is
+    the error, reduced by the deadband width and topped up by a minimum
+    strength, both carrying the sign of the sensor value (sign(0) counts as +1).
     """
+    beta = cfg.beta if beta is None else beta
     error = cfg.theta_dot_target - np.asarray(sensor, dtype=np.float64)
     sign = np.where(np.asarray(sensor) >= 0, 1.0, -1.0)
-    g = error - sign * cfg.beta + sign * cfg.f_min
+    g = error - sign * beta + sign * cfg.f_min
     g_clamped = np.clip(g, -1.0, 1.0)
-    f = np.where(np.abs(error) >= cfg.beta, g_clamped * cfg.f_max, 0.0)
+    f = np.where(np.abs(error) >= beta, g_clamped * cfg.f_max, 0.0)
     return g_clamped, f
 
 
@@ -184,65 +190,53 @@ class EpisodeResult:
     forces: np.ndarray  # applied force, length steps
 
 
-def _simulate_batch(cfg: RotatorConfig, seed_seqs):
-    """Run len(seed_seqs) episodes in lockstep.  Returns raw transients.
+def _lockstep(cfg: RotatorConfig, eta, beta, run, seed_seqs):
+    """Step episodes from rest in lockstep, lane i being run run[i] at eta[i] and beta[i].
 
-    Episodes differ only through their sensor-noise streams, drawn once per
-    run up front, so a batch result for one seed is bit-identical to a
-    single run with that seed.
+    Yields (theta_dot, sensor, g_clamped, force) lane arrays at each control instant,
+    with no action (None) at the last.  Each lane draws its noise from seed_seqs[i]
+    up front, so it is bit-identical whatever runs beside it.
     """
-    runs = len(seed_seqs)
-    steps = cfg.steps
-    noise = np.empty((runs, steps + 1))
-    for r, seq in enumerate(seed_seqs):
-        rng = np.random.default_rng(seq)
-        noise[r] = rng.uniform(-cfg.eta, cfg.eta, size=steps + 1)
+    noise = np.empty((len(seed_seqs), cfg.steps + 1))
+    for i, seq in enumerate(seed_seqs):
+        noise[i] = np.random.default_rng(seq).uniform(-eta[i], eta[i], size=cfg.steps + 1)
     noise *= cfg.theta_dot_target
-
-    theta = np.zeros(runs)
-    theta_dot = np.zeros(runs)
-    velocities = np.empty((runs, steps + 1))
-    sensors = np.empty((runs, steps + 1))
-    g_clamped = np.empty((runs, steps))
-    forces = np.empty((runs, steps))
-    for t in range(steps):
+    theta, theta_dot = np.zeros((2, len(seed_seqs)))
+    for t in range(cfg.steps):
         s = theta_dot + noise[:, t]
-        g, f = control_force(s, cfg)
-        velocities[:, t] = theta_dot
-        sensors[:, t] = s
-        g_clamped[:, t] = g
-        forces[:, t] = f
+        g, f = control_force(s, cfg, beta)
+        yield theta_dot, s, g, f
         theta, theta_dot = _integrate(theta, theta_dot, f, cfg, cfg.control_dt)
-        if not np.isfinite(theta_dot).all():
+        finite = np.isfinite(theta) & np.isfinite(theta_dot)
+        if not finite.all():
+            i = int(np.argmin(finite))
             raise NumericalError(
-                f"integration diverged at control step {t} (t = {t * cfg.control_dt:g} s)"
+                f"eta={eta[i]:g}, beta={beta[i]:g}, run={int(run[i])}: integration diverged "
+                f"at control step {t} (t = {t * cfg.control_dt:g} s)"
             )
-    velocities[:, steps] = theta_dot
-    sensors[:, steps] = theta_dot + noise[:, steps]
+    yield theta_dot, theta_dot + noise[:, cfg.steps], None, None
+
+
+def _simulate_batch(cfg: RotatorConfig, seed_seqs):
+    """Raw transients (velocities, sensors, g_clamped, forces) of one run per seed at cfg."""
+    runs = len(seed_seqs)
+    velocities, sensors = np.empty((2, runs, cfg.steps + 1))
+    g_clamped, forces = np.empty((2, runs, cfg.steps))
+    lanes = _lockstep(cfg, np.full(runs, cfg.eta), np.full(runs, cfg.beta), range(runs), seed_seqs)
+    for t, (v, s, g, f) in enumerate(lanes):
+        velocities[:, t], sensors[:, t] = v, s
+        if f is not None:
+            g_clamped[:, t], forces[:, t] = g, f
     return velocities, sensors, g_clamped, forces
-
-
-def _to_series(velocities: np.ndarray, forces: np.ndarray, cfg: RotatorConfig) -> SymbolSeries:
-    return SymbolSeries(
-        SENSOR_BINNER.index(velocities),
-        ACTION_BINNER.index(forces / cfg.f_max),
-    )
 
 
 def run_episode(cfg: RotatorConfig) -> EpisodeResult:
     """Simulate one episode from rest, returning symbols and raw transients."""
-    velocities, sensors, g_clamped, forces = _simulate_batch(
-        cfg, [np.random.SeedSequence(cfg.seed)]
-    )
+    batch = _simulate_batch(cfg, [np.random.SeedSequence(cfg.seed)])
+    velocities, sensors, g_clamped, forces = (transient[0] for transient in batch)
+    series = SymbolSeries(SENSOR_BINNER.index(velocities), ACTION_BINNER.index(forces / cfg.f_max))
     times = np.arange(cfg.steps) * cfg.control_dt
-    return EpisodeResult(
-        series=_to_series(velocities[0], forces[0], cfg),
-        times=times,
-        velocities=velocities[0],
-        sensor_values=sensors[0],
-        g_clamped=g_clamped[0],
-        forces=forces[0],
-    )
+    return EpisodeResult(series, times, velocities, sensors, g_clamped, forces)
 
 
 def sensor_alphabet() -> Alphabet:
@@ -259,6 +253,44 @@ def episode_measures(series: SymbolSeries, names=INTRINSIC_MEASURES) -> dict[str
     return intrinsic_measures(model, names)
 
 
+def _check_grid(eta_values, beta_values, runs: int, cfg: RotatorConfig) -> None:
+    """Reject a run count below one, or any eta or beta a cell's config would reject."""
+    if runs < 1:
+        raise ValueError("runs_per_cell must be at least 1")
+    for eta, beta in zip_longest(eta_values, beta_values, fillvalue=0.0):
+        replace(cfg, eta=eta, beta=beta)
+
+
+def _cell_values(cfg: RotatorConfig, cells, runs: int, names=INTRINSIC_MEASURES) -> Iterator[dict]:
+    """Mean measures over `runs` episodes of each (eta, beta, eta index, beta index) cell.
+
+    Each episode is a lane, run cell-major :data:`SWEEP_CHUNK` at a time and
+    binned into int8 symbols as it steps.  Every run of an eta = 0 cell is
+    the same episode, so run 0 alone is simulated and counted `runs` times.
+    """
+    lanes = [(cell, r) for cell in cells for r in range(runs if cell[0] else 1)]
+    totals = dict.fromkeys(names, 0.0)
+    for start in range(0, len(lanes), SWEEP_CHUNK):
+        chunk = lanes[start : start + SWEEP_CHUNK]
+        eta, beta, run = np.array([(*cell[:2], r) for cell, r in chunk], dtype=np.float64).T
+        seqs = [np.random.SeedSequence((cfg.seed, *cell[2:], r)) for cell, r in chunk]
+        sensors = np.empty((len(chunk), cfg.steps + 1), dtype=np.int8)  # 30 bins each
+        actions = np.empty((len(chunk), cfg.steps), dtype=np.int8)
+        for t, (v, _, _, f) in enumerate(_lockstep(cfg, eta, beta, run, seqs)):
+            sensors[:, t] = SENSOR_BINNER.index(v)
+            if f is not None:
+                actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
+        for (cell, r), s, a in zip(chunk, sensors, actions):
+            values = episode_measures(SymbolSeries(s, a), names)
+            copies = 1 if cell[0] else runs
+            for name in names:
+                for _ in range(copies):
+                    totals[name] += values[name]
+            if r + copies == runs:
+                yield {name: totals[name] / runs for name in names}
+                totals = dict.fromkeys(names, 0.0)
+
+
 def cell_measures(
     cfg: RotatorConfig,
     eta: float,
@@ -273,43 +305,16 @@ def cell_measures(
     Per-run seeds derive from (master seed, eta index, beta index, run index),
     so any cell is reproducible in isolation and cells are independent.
     """
-    cell_cfg = replace(cfg, eta=eta, beta=beta)
-    seqs = [
-        np.random.SeedSequence((cfg.seed, eta_index, beta_index, r))
-        for r in range(runs)
-    ]
-    velocities, _, _, forces = _simulate_batch(cell_cfg, seqs)
-    totals = dict.fromkeys(names, 0.0)
-    for r in range(runs):
-        values = episode_measures(_to_series(velocities[r], forces[r], cell_cfg), names)
-        for name in names:
-            totals[name] += values[name]
-    return {name: totals[name] / runs for name in names}
+    _check_grid([eta], [beta], runs, cfg)
+    return next(_cell_values(cfg, [(eta, beta, eta_index, beta_index)], runs, names))
 
 
-def sweep(
-    eta_values,
-    beta_values,
-    runs_per_cell: int,
-    cfg: RotatorConfig,
-) -> list[MeasureReport]:
-    """Grid of averaged measure reports, rows ordered by (eta, beta)."""
-    if runs_per_cell < 1:
-        raise ValueError("runs_per_cell must be at least 1")
-    reports = []
-    for ei, eta in enumerate(eta_values):
-        for bi, beta in enumerate(beta_values):
-            values = cell_measures(cfg, eta, beta, runs_per_cell, ei, bi)
-            reports.append(
-                MeasureReport(
-                    values,
-                    metadata={
-                        "eta": float(eta),
-                        "beta": float(beta),
-                        "runs": runs_per_cell,
-                        "seed": cfg.seed,
-                        "steps": cfg.steps,
-                    },
-                )
-            )
-    return reports
+def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[MeasureReport]:
+    """Averaged reports over a grid checked whole up front, yielded in (eta, beta) order."""
+    _check_grid(eta_values, beta_values, runs_per_cell, cfg)
+    cells = [(e, b, ei, bi) for ei, e in enumerate(eta_values) for bi, b in enumerate(beta_values)]
+    metadata = {"runs": runs_per_cell, "seed": cfg.seed, "steps": cfg.steps}
+    return (
+        MeasureReport(v, metadata={"eta": float(eta), "beta": float(beta), **metadata})
+        for (eta, beta, _, _), v in zip(cells, _cell_values(cfg, cells, runs_per_cell))
+    )

@@ -285,13 +285,16 @@ class TestNoiseDeadbandSurface:
     def test_coarse_grid_shape(self):
         eta_grid = [0.0, 0.125, 0.25, 0.375, 0.5]
         beta_grid = [0.0, 0.5, 1.0, 1.5, 2.0]
+        start = time.perf_counter()
         reports = rotator.sweep(eta_grid, beta_grid, runs_per_cell=10, cfg=RotatorConfig(seed=0))
         table = {
             (r.metadata["eta"], r.metadata["beta"]): r.values for r in reports
         }
+        elapsed = time.perf_counter() - start
         base = table[(0.0, 0.0)]
         peak = table[(0.5, 2.0)]
         results = [
+            check("coarse 5x5x10 rotator sweep runtime < 30 s", elapsed < 30.0, f"{elapsed:.1f} s"),
             check(
                 "asoc_w rises by >= 0.3 from (0,0) to (0.5,2.0)",
                 peak["asoc_w"] - base["asoc_w"] >= 0.3,

@@ -300,3 +300,12 @@ class TestCsv:
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n\n\n1,{cell},0\n2,1,\n")
         with pytest.raises(DataError, match=rf":5: {message}"):
             read_symbol_series(path, **options)
+
+    @pytest.mark.parametrize("column, row", [("s", "1,x,0.2"), ("a", "1,0.7,x")])
+    def test_unparsable_real_names_its_line(self, tmp_path, column, row):
+        # the `x` sits on line 4, after one blank line
+        path = self.write(tmp_path, f"t,s,a\n0,0.5,0.1\n\n{row}\n2,1.5,\n")
+        binners = {"sensor_binner": Binner(0.0, 8.0, 30), "action_binner": Binner(-1.0, 1.0, 30)}
+        message = rf"series.csv:4: column {column}: could not convert string to float: 'x'$"
+        with pytest.raises(DataError, match=message):
+            read_symbol_series(path, **binners)

@@ -1,18 +1,27 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from morphocomp import rotator
+from morphocomp.cli import main
+from morphocomp.estimation import SymbolSeries
+from morphocomp.measures import INTRINSIC_MEASURES, MeasureReport
 from morphocomp.rotator import (
     ACTION_BINNER,
     SENSOR_BINNER,
     NumericalError,
     RotatorConfig,
     control_force,
+    episode_measures,
     run_episode,
     sweep,
     total_energy,
     _integrate,
+    _lockstep,
     _simulate_batch,
 )
 
@@ -204,7 +213,7 @@ class TestEpisodes:
 class TestSweep:
     def test_grid_order_metadata_and_determinism(self):
         cfg = RotatorConfig(steps=200, seed=21)
-        reports = sweep([0.0, 0.2], [0.0, 1.0], runs_per_cell=2, cfg=cfg)
+        reports = list(sweep([0.0, 0.2], [0.0, 1.0], runs_per_cell=2, cfg=cfg))
         assert [(r.metadata["eta"], r.metadata["beta"]) for r in reports] == [
             (0.0, 0.0),
             (0.0, 1.0),
@@ -212,13 +221,40 @@ class TestSweep:
             (0.2, 1.0),
         ]
         assert all(r.metadata["runs"] == 2 for r in reports)
-        again = sweep([0.0, 0.2], [0.0, 1.0], runs_per_cell=2, cfg=cfg)
+        again = list(sweep([0.0, 0.2], [0.0, 1.0], runs_per_cell=2, cfg=cfg))
+        assert len(again) == 4
         for first, second in zip(reports, again):
             assert first.values == second.values
 
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
             sweep([0.0], [0.0], runs_per_cell=0, cfg=RotatorConfig(steps=100))
+
+    def test_bad_grid_rejected_before_any_cell_runs(self):
+        cfg = RotatorConfig(steps=100)
+        for eta, beta in (([0.0, -0.1], [0.0]), ([0.0], [0.5, float("nan")])):
+            with pytest.raises(ValueError, match="eta and beta must be non-negative|beta must be finite"):
+                sweep(eta, beta, runs_per_cell=1, cfg=cfg)
+
+    def test_diverging_lane_names_its_cell(self, tmp_path, capsys):
+        # beta = 7 exceeds the velocity error at rest, so the noiseless cell
+        # never pushes; the noisy cell's sensor leaves the deadband and its
+        # 1e308 force overflows the integration
+        cfg = RotatorConfig(f_max=1e308, steps=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^eta=0.25, beta=7, run=\d: integration diverged at control step \d+ "):
+                list(sweep([0.0, 0.25], [7.0], runs_per_cell=2, cfg=cfg))
+            config = tmp_path / "diverge.cfg"
+            config.write_text("version = 1\nf_max = 1e308\n")
+            out = tmp_path / "sweep"
+            code = main([
+                "rotator", "sweep", "--config", str(config), "--eta", "0", "0.25",
+                "--beta", "7", "--runs", "2", "--steps", "20", "--out", str(out),
+            ])
+        assert code == 3
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: eta=0.25, beta=7, run=")
+        assert not (out / "rotator_sweep.csv").exists()
 
     def test_values_lie_in_range(self):
         reports = sweep([0.4], [0.3], runs_per_cell=2, cfg=RotatorConfig(steps=300, seed=2))
@@ -301,3 +337,82 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             RotatorConfig(**kwargs)
+
+
+def per_cell_rows(eta_grid, beta_grid, runs, cfg):
+    """The sweep's rows computed cell by cell, as `sweep` did before its lanes were batched.
+
+    Each cell simulates all its runs, eta = 0 included, as one batch at the
+    cell's config, and sums each run's measures in run order.
+    """
+    rows = []
+    for ei, eta in enumerate(eta_grid):
+        for bi, beta in enumerate(beta_grid):
+            seqs = [np.random.SeedSequence((cfg.seed, ei, bi, r)) for r in range(runs)]
+            cell = replace(cfg, eta=eta, beta=beta)
+            velocities, _, _, forces = _simulate_batch(cell, seqs)
+            totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
+            for v, f in zip(velocities, forces):
+                series = SymbolSeries(SENSOR_BINNER.index(v), ACTION_BINNER.index(f / cell.f_max))
+                values = episode_measures(series)
+                for name in INTRINSIC_MEASURES:
+                    totals[name] += values[name]
+            means = {name: totals[name] / runs for name in INTRINSIC_MEASURES}
+            rows.append(row_bits(MeasureReport(means, {"eta": eta, "beta": beta})))
+    return rows
+
+
+def row_bits(report):
+    """A report's cell and values; hex keeps every bit, and the sign of zero."""
+    cell = (report.metadata["eta"], report.metadata["beta"])
+    return cell, {name: value.hex() for name, value in report.values.items()}
+
+
+ETAS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), min_size=1, max_size=3)
+BETAS = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3)
+
+
+class TestSweepEqualsCells:
+    """The lockstep grid batch against cell-by-cell simulation."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        eta_grid=ETAS,
+        beta_grid=BETAS,
+        runs=st.integers(1, 3),
+        steps=st.integers(20, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(eta_grid=[0.0, 0.3], beta_grid=[0.0, 1.0], runs=3, steps=40, seed=0)
+    def test_rows_bitwise_equal_cells_alone_for_any_chunking(
+        self, eta_grid, beta_grid, runs, steps, seed
+    ):
+        cfg = RotatorConfig(steps=steps, seed=seed)
+        alone = per_cell_rows(eta_grid, beta_grid, runs, cfg)
+        for chunk in (1, 3, rotator.SWEEP_CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rotator, "SWEEP_CHUNK", chunk)
+                rows = [row_bits(report) for report in sweep(eta_grid, beta_grid, runs, cfg)]
+            assert rows == alone
+
+    def test_cell_measures_is_a_one_cell_sweep(self):
+        cfg = RotatorConfig(steps=50, seed=4)
+        values = rotator.cell_measures(cfg, 0.3, 1.0, runs=2, eta_index=1, beta_index=0)
+        (report,) = [r for r in sweep([0.0, 0.3], [1.0], 2, cfg) if r.metadata["eta"] == 0.3]
+        assert row_bits(MeasureReport(values, report.metadata)) == row_bits(report)
+
+    def test_lane_does_not_depend_on_its_neighbours(self):
+        cfg = RotatorConfig(steps=200)
+
+        def steps_of_lane(lane, eta, beta, seeds):
+            seqs = [np.random.SeedSequence(seed) for seed in seeds]
+            records = _lockstep(cfg, np.array(eta), np.array(beta), range(len(seeds)), seqs)
+            return [tuple(None if x is None else x[lane] for x in step) for step in records]
+
+        alone = steps_of_lane(0, [0.3], [1.0], [7])
+        beside = steps_of_lane(1, [0.0, 0.3, 0.5], [0.0, 1.0, 2.0], [8, 7, 9])
+        assert len(alone) == len(beside) == cfg.steps + 1
+        for solo, batched in zip(alone, beside):
+            assert [None if x is None else x.hex() for x in solo] == [
+                None if x is None else x.hex() for x in batched
+            ]

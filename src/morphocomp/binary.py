@@ -13,40 +13,32 @@ loop interpolates smoothly between fully random and fully deterministic:
 Everything downstream (joints, estimated-model equivalents, measure values)
 is evaluated exactly; no sampling is involved.  The ``*_arrays`` functions
 evaluate a stack of parameter points at once (leading batch axis B), which
-is how a sweep runs; ``kernels``, ``world_joint`` and ``intrinsic_model``
-return the validated objects of one point.
+is how a sweep runs; ``point_measures`` is a sweep of one point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .measures import (
     ConsistencyError,
-    IntrinsicModel,
     MeasureReport,
     action_effect,
     intrinsic_values,
     world_effect,
 )
 from .prob import (
-    Alphabet,
-    Distribution,
     InvalidDistributionError,
-    Joint3,
-    Kernel2,
-    Kernel3,
     SupportError,
     chain_arrays,
     check_probs,
     compose_arrays,
+    raise_first,
 )
 
 SIGNS = np.array([-1.0, 1.0])
-BINARY = Alphabet(2, ("-1", "+1"))
 
 # Sweep defaults: surfaces over [0, 5] as plotted, with 20 standing in for
 # "effectively deterministic" (the softmax is then within 5e-18 of a Dirac).
@@ -78,18 +70,6 @@ def _check_params(phi, psi, zeta, mu, tau) -> None:
             raise ValueError(f"{name} must be {requirement}, got {values[bad][0]:g}")
 
 
-@dataclass(frozen=True)
-class BinaryParams:
-    phi: float  # world self-coupling
-    psi: float  # action coupling
-    zeta: float = STRICT  # sensor sharpness
-    mu: float = 0.0  # policy sharpness
-    tau: float = 0.0  # world-prior bias
-
-    def __post_init__(self):
-        _check_params(*astuple(self))
-
-
 def _softmax_last(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
@@ -116,27 +96,10 @@ def kernel_arrays(phi, psi, zeta, mu, tau):
     return alpha, beta, pi, p_w
 
 
-def kernels(params: BinaryParams):
-    """The four transition maps (world kernel, sensor map, policy, prior)."""
-    alpha, beta, pi, p_w = (a[0] for a in kernel_arrays(*astuple(params)))
-    return (
-        Kernel3(BINARY, BINARY, BINARY, alpha),
-        Kernel2(BINARY, BINARY, beta),
-        Kernel2(BINARY, BINARY, pi),
-        Distribution(BINARY, p_w),
-    )
-
-
 def world_joint_arrays(alpha, beta, pi, p_w) -> np.ndarray:
     """Exact single-step joints p(w, a, w') of a batch of loops, (B,2,2,2)."""
     sensor_to_action = chain_arrays(beta, pi)  # p(a|w), the sensor summed out
     return compose_arrays(p_w, sensor_to_action, alpha)
-
-
-def world_joint(params: BinaryParams) -> Joint3:
-    """Exact single-step joint p(w, a, w') of the loop."""
-    probs = world_joint_arrays(*kernel_arrays(*astuple(params)))[0]
-    return Joint3(BINARY, BINARY, BINARY, probs)
 
 
 def intrinsic_model_arrays(alpha, beta, pi, p_w):
@@ -147,24 +110,10 @@ def intrinsic_model_arrays(alpha, beta, pi, p_w):
     exactly what a perfect estimator would converge to.
     """
     p_s = np.matmul(p_w[:, None, :], beta)[:, 0, :]
-    if (p_s == 0).any():
-        index = int(np.argwhere(p_s == 0)[0][1])
-        raise SupportError(
-            f"sensor symbol {index} has zero marginal probability", index=index
-        )
+    raise_first(p_s == 0, "sensor symbol {index} has zero marginal probability")
     joint_rows = np.einsum("bw,bws,bwau,but->bsat", p_w, beta, alpha, beta)
     world = joint_rows / p_s[:, :, None, None]
     return check_probs(p_s, "distribution"), pi, check_probs(world, "kernel")
-
-
-def intrinsic_model(params: BinaryParams) -> IntrinsicModel:
-    """Sensor-level model (p(s), p(a|s), p(s'|s,a)) implied by the loop."""
-    prior, pi, world = (a[0] for a in intrinsic_model_arrays(*kernel_arrays(*astuple(params))))
-    return IntrinsicModel(
-        Distribution(BINARY, prior),
-        Kernel2(BINARY, BINARY, pi),
-        Kernel3(BINARY, BINARY, BINARY, world),
-    )
 
 
 def _reports(phi, psi, mu, zeta: float, tau: float) -> list[MeasureReport]:

@@ -82,12 +82,7 @@ class Binner:
         return int(idx) if np.isscalar(value) or arr.ndim == 0 else idx
 
     def alphabet(self) -> Alphabet:
-        width = (self.high - self.low) / self.bins
-        labels = tuple(
-            f"[{self.low + i * width:g},{self.low + (i + 1) * width:g})"
-            for i in range(self.bins)
-        )
-        return Alphabet(self.bins, labels)
+        return Alphabet(self.bins)
 
 
 def _check_bounds(symbols: np.ndarray, alphabet: Alphabet, what: str) -> None:

@@ -41,11 +41,12 @@ from .prob import (
     Joint3,
     Kernel2,
     Kernel3,
-    SupportError,
     check_probs,
     cmi_arrays,
     compose_arrays,
+    log_ratio_sum,
     log_size,
+    raise_first,
 )
 
 MEASURE_NAMES = ("mc_a", "mc_w", "asoc_a", "asoc_w", "c_a", "c_a_d", "c_w")
@@ -168,11 +169,6 @@ def asoc_w(joint: Joint3) -> float:
     return float(world_effect(joint.probs[None])[0])
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...]:
-    """Index of the first true entry of a stacked mask, without the batch axis."""
-    return tuple(int(i) for i in np.argwhere(mask)[0][1:])
-
-
 def _do_a(prior: np.ndarray, world: np.ndarray) -> np.ndarray:
     return check_probs(np.einsum("bs,bsat->bat", prior, world), "kernel")
 
@@ -188,9 +184,7 @@ def _action_prior(prior: np.ndarray, policy: np.ndarray) -> np.ndarray:
 def _cif(K: np.ndarray, prior: np.ndarray) -> np.ndarray:
     weights = prior[:, :, None] * K
     mixture = np.matmul(prior[:, None, :], K)
-    ratio = np.ones_like(K)
-    np.divide(K, mixture, out=ratio, where=weights > 0)
-    value = np.sum(weights * np.log(ratio), axis=(1, 2), where=weights > 0)
+    value = log_ratio_sum(weights, K, mixture, weights > 0, axis=(1, 2))
     return np.where(value > 0.0, value, 0.0)
 
 
@@ -279,17 +273,12 @@ def _interventional_divergence(
     p = rows_a[:, None, :, :]
     q = rows_c[:, :, None, :]
     active = (weights[:, :, :, None] > 0) & (p > 0)
-    missing = active & (q == 0)
-    if missing.any():
-        index = _first(missing)
-        raise SupportError(
-            "intervened-on-state kernel has zero mass where the action kernel "
-            f"is positive at (c, a, z) = {index}",
-            index=index,
-        )
-    ratio = np.ones(np.broadcast_shapes(p.shape, q.shape))
-    np.divide(p, q, out=ratio, where=active)
-    inner = np.sum(np.broadcast_to(p, ratio.shape) * np.log(ratio), axis=3, where=active)
+    raise_first(
+        active & (q == 0),
+        "intervened-on-state kernel has zero mass where the action kernel "
+        "is positive at (c, a, z) = {index}",
+    )
+    inner = log_ratio_sum(p, p, q, active, axis=3)
     return np.sum(weights * inner, axis=(1, 2))
 
 
@@ -298,12 +287,12 @@ def c_a_deliberative(
     controller_policy: Kernel2,
     do_c_kernel: Kernel2,
     do_a_kernel: Kernel2,
-    joint_ca: np.ndarray,
 ) -> float:
     """Causal measure of the missing action effect for a non-reactive agent.
 
     The internal controller state takes the sensor's role:
-    1 - (1/ln|S|) sum_{c,a} p(c,a) sum_s' p(s'|do(a)) ln[p(s'|do(a))/p(s'|do(c))].
+    1 - (1/ln|S|) sum_{c,a} p(c,a) sum_s' p(s'|do(a)) ln[p(s'|do(a))/p(s'|do(c))],
+    with p(c,a) = p(c) p(a|c).
     """
     if controller_policy.source != controller_prior.alphabet:
         raise DimensionError("controller policy must condition on the controller alphabet")
@@ -314,13 +303,7 @@ def c_a_deliberative(
     if do_c_kernel.target != do_a_kernel.target:
         raise DimensionError("both interventional kernels must share the target alphabet")
 
-    joint_ca = np.asarray(joint_ca, dtype=np.float64)
-    expected = controller_prior.probs[:, None] * controller_policy.rows
-    if joint_ca.shape != expected.shape:
-        raise DimensionError(f"joint p(c,a) of shape {joint_ca.shape}, expected {expected.shape}")
-    if np.abs(joint_ca - expected).max() > RANGE_TOL:
-        raise ConsistencyError("joint p(c,a) is inconsistent with prior and policy")
-
+    joint_ca = controller_prior.probs[:, None] * controller_policy.rows
     log_n = log_size(do_a_kernel.target.size)
     div = _interventional_divergence(
         joint_ca[None], do_a_kernel.rows[None], do_c_kernel.rows[None]
@@ -332,13 +315,10 @@ def _c_w(prior: np.ndarray, policy: np.ndarray, world: np.ndarray) -> np.ndarray
     log_n = log_size(prior.shape[1])
     p_next_given_s = np.einsum("bsa,bsat->bst", policy, world)
     p_a = np.matmul(prior[:, None, :], policy)[:, 0, :]
-    unreachable = (p_a == 0) & (policy.max(axis=1) > 0)
-    if unreachable.any():
-        (index,) = _first(unreachable)
-        raise SupportError(
-            f"action {index} has policy mass but zero marginal probability",
-            index=index,
-        )
+    raise_first(
+        (p_a == 0) & (policy.max(axis=1) > 0),
+        "action {index} has policy mass but zero marginal probability",
+    )
     numer = np.einsum("bsat,bsa,bs->bat", world, policy, prior)
     p_next_given_a = np.divide(
         numer, p_a[:, :, None], out=np.zeros_like(numer), where=p_a[:, :, None] > 0
@@ -354,17 +334,12 @@ def _c_w(prior: np.ndarray, policy: np.ndarray, world: np.ndarray) -> np.ndarray
 
     weights = prior[:, :, None] * p_next_given_s
     active = weights > 0
-    missing = active & (severed == 0)
-    if missing.any():
-        index = _first(missing)
-        raise SupportError(
-            "severed world model has zero mass on an observed transition "
-            f"(s, s') = {index}",
-            index=index,
-        )
-    ratio = np.ones_like(severed)
-    np.divide(p_next_given_s, severed, out=ratio, where=active)
-    value = np.sum(weights * np.log(ratio), axis=(1, 2), where=active)
+    raise_first(
+        active & (severed == 0),
+        "severed world model has zero mass on an observed transition (s, s') = {index}",
+    )
+    value = log_ratio_sum(weights, p_next_given_s, severed, active, axis=(1, 2))
+    # unlike the clamp of _cif and cmi_arrays, this one keeps a -0.0 sum
     return np.where(0.0 > value, 0.0, value) / log_n
 
 

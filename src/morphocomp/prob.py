@@ -14,7 +14,10 @@ with a batch of one.
 Zero handling follows the usual information-theoretic conventions:
 terms with p = 0 contribute nothing to divergences (0 * ln 0 = 0), while
 p > 0 against q = 0 is reported as a :class:`SupportError` instead of
-silently returning infinity.
+silently returning infinity.  Every divergence and conditional mutual
+information in the package takes its logarithm in :func:`log_ratio_sum`,
+which skips the zero terms, and reports a support violation through
+:func:`raise_first`.
 """
 
 from __future__ import annotations
@@ -82,6 +85,30 @@ def check_probs(arr: np.ndarray, name: str, whole: bool = False) -> np.ndarray:
     return _normalized(arr, axis=axis, name=name)
 
 
+def log_ratio_sum(weights, num, den, where, axis) -> np.ndarray:
+    """Sum of weights * ln(num / den) over `axis`, on the entries `where` holds.
+
+    The operands broadcast to one shape.  Entries outside `where` are never
+    divided and add nothing, which is the 0 * ln 0 = 0 convention when
+    `where` is the support of the weights.
+    """
+    ratio = np.ones(np.broadcast_shapes(num.shape, den.shape))
+    np.divide(num, den, out=ratio, where=where)
+    return np.sum(weights * np.log(ratio), axis=axis, where=where)
+
+
+def raise_first(mask: np.ndarray, message: str) -> None:
+    """Raise :class:`SupportError` at the first true entry of a stacked mask, if any.
+
+    The index leaves out the leading batch axis and is an int when one axis
+    remains; `message` is formatted with it as ``{index}``.
+    """
+    if mask.any():
+        index = tuple(int(i) for i in np.argwhere(mask)[0][1:])
+        index = index[0] if len(index) == 1 else index
+        raise SupportError(message.format(index=index), index=index)
+
+
 def _validate(obj, field: str, shape: tuple, name: str, whole: bool = False) -> None:
     """Check, normalise and freeze the array `obj.<field>` in place.
 
@@ -98,21 +125,13 @@ def _validate(obj, field: str, shape: tuple, name: str, whole: bool = False) -> 
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite symbol set, optionally with human-readable labels."""
+    """A finite symbol set {0, ..., size - 1}."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise DimensionError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.size:
-                raise DimensionError(
-                    f"{len(labels)} labels for alphabet of size {self.size}"
-                )
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,16 +244,9 @@ def kl(p: Distribution, q: Distribution) -> float:
     """
     if p.alphabet != q.alphabet:
         raise DimensionError("kl requires both distributions on one alphabet")
-    pv, qv = p.probs, q.probs
-    violated = (pv > 0) & (qv == 0)
-    if violated.any():
-        index = int(np.argmax(violated))
-        raise SupportError(
-            f"q has zero mass at index {index} where p[{index}] = {pv[index]:g}",
-            index=index,
-        )
-    mask = pv > 0
-    value = float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+    pv, qv = p.probs[None], q.probs[None]
+    raise_first((pv > 0) & (qv == 0), "q has zero mass at index {index} where p[{index}] > 0")
+    value = float(log_ratio_sum(pv, pv, qv, pv > 0, axis=1)[0])
     return value if value > 0.0 else 0.0
 
 
@@ -252,11 +264,7 @@ def cmi_arrays(P: np.ndarray, given: int) -> np.ndarray:
     else:
         p_g = P.sum(axis=(1, 3))[:, None, :, None]
         p_gz = P.sum(axis=1)[:, None, :, :]
-    num = P * p_g
-    den = p_xy[:, :, :, None] * p_gz
-    ratio = np.ones_like(P)
-    np.divide(num, den, out=ratio, where=P > 0)
-    value = np.sum(P * np.log(ratio), axis=(1, 2, 3), where=P > 0)
+    value = log_ratio_sum(P, P * p_g, p_xy[:, :, :, None] * p_gz, P > 0, axis=(1, 2, 3))
     return np.where(value > 0.0, value, 0.0)
 
 

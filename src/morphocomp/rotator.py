@@ -247,10 +247,10 @@ def action_alphabet() -> Alphabet:
     return ACTION_BINNER.alphabet()
 
 
-def episode_measures(series: SymbolSeries, names=INTRINSIC_MEASURES) -> dict[str, float]:
+def episode_measures(series: SymbolSeries) -> dict[str, float]:
     """Estimate a model from one episode and evaluate the intrinsic measures."""
     model = estimate(series, sensor_alphabet(), action_alphabet())
-    return intrinsic_measures(model, names)
+    return intrinsic_measures(model)
 
 
 def _check_grid(eta_values, beta_values, runs: int, cfg: RotatorConfig) -> None:
@@ -261,7 +261,7 @@ def _check_grid(eta_values, beta_values, runs: int, cfg: RotatorConfig) -> None:
         replace(cfg, eta=eta, beta=beta)
 
 
-def _cell_values(cfg: RotatorConfig, cells, runs: int, names=INTRINSIC_MEASURES) -> Iterator[dict]:
+def _cell_values(cfg: RotatorConfig, cells, runs: int) -> Iterator[dict]:
     """Mean measures over `runs` episodes of each (eta, beta, eta index, beta index) cell.
 
     Each episode is a lane, run cell-major :data:`SWEEP_CHUNK` at a time and
@@ -269,7 +269,7 @@ def _cell_values(cfg: RotatorConfig, cells, runs: int, names=INTRINSIC_MEASURES)
     the same episode, so run 0 alone is simulated and counted `runs` times.
     """
     lanes = [(cell, r) for cell in cells for r in range(runs if cell[0] else 1)]
-    totals = dict.fromkeys(names, 0.0)
+    totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
     for start in range(0, len(lanes), SWEEP_CHUNK):
         chunk = lanes[start : start + SWEEP_CHUNK]
         eta, beta, run = np.array([(*cell[:2], r) for cell, r in chunk], dtype=np.float64).T
@@ -281,14 +281,14 @@ def _cell_values(cfg: RotatorConfig, cells, runs: int, names=INTRINSIC_MEASURES)
             if f is not None:
                 actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
         for (cell, r), s, a in zip(chunk, sensors, actions):
-            values = episode_measures(SymbolSeries(s, a), names)
+            values = episode_measures(SymbolSeries(s, a))
             copies = 1 if cell[0] else runs
-            for name in names:
+            for name in INTRINSIC_MEASURES:
                 for _ in range(copies):
                     totals[name] += values[name]
             if r + copies == runs:
-                yield {name: totals[name] / runs for name in names}
-                totals = dict.fromkeys(names, 0.0)
+                yield {name: totals[name] / runs for name in INTRINSIC_MEASURES}
+                totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
 
 
 def cell_measures(
@@ -298,7 +298,6 @@ def cell_measures(
     runs: int,
     eta_index: int = 0,
     beta_index: int = 0,
-    names=INTRINSIC_MEASURES,
 ) -> dict[str, float]:
     """Average the intrinsic measures over `runs` episodes of one (eta, beta) cell.
 
@@ -306,7 +305,7 @@ def cell_measures(
     so any cell is reproducible in isolation and cells are independent.
     """
     _check_grid([eta], [beta], runs, cfg)
-    return next(_cell_values(cfg, [(eta, beta, eta_index, beta_index)], runs, names))
+    return next(_cell_values(cfg, [(eta, beta, eta_index, beta_index)], runs))
 
 
 def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[MeasureReport]:

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphocomp import binary
-from morphocomp.binary import BinaryParams, intrinsic_model, kernels, point_measures, sweep, world_joint
+from morphocomp.binary import (
+    intrinsic_model_arrays,
+    kernel_arrays,
+    point_measures,
+    sweep,
+    world_joint_arrays,
+)
 from morphocomp.measures import mc_a, mc_w
-from morphocomp.prob import SupportError
+from morphocomp.prob import Alphabet, Joint3, SupportError
+
+B = Alphabet(2)
 
 
 def reference_tables(phi, psi, zeta, mu, tau):
@@ -30,55 +38,59 @@ def reference_tables(phi, psi, zeta, mu, tau):
     return alpha, beta, pi, e / e.sum()
 
 
+def point(phi, psi, zeta=binary.STRICT, mu=0.0, tau=0.0):
+    """The four transition maps of one parameter point, as a batch of one."""
+    return kernel_arrays(phi, psi, zeta, mu, tau)
+
+
 class TestKernels:
     def test_all_zero_parameters_give_uniform_maps(self):
-        alpha, beta, pi, p_w = kernels(BinaryParams(0, 0, zeta=0, mu=0, tau=0))
-        np.testing.assert_array_equal(alpha.entries, 0.5)
-        np.testing.assert_array_equal(beta.rows, 0.5)
-        np.testing.assert_array_equal(pi.rows, 0.5)
-        np.testing.assert_array_equal(p_w.probs, 0.5)
+        alpha, beta, pi, p_w = point(0, 0, zeta=0, mu=0, tau=0)
+        np.testing.assert_array_equal(alpha[0], 0.5)
+        np.testing.assert_array_equal(beta[0], 0.5)
+        np.testing.assert_array_equal(pi[0], 0.5)
+        np.testing.assert_array_equal(p_w[0], 0.5)
 
     def test_sharp_policy_is_a_copy(self):
-        _, _, pi, _ = kernels(BinaryParams(0, 0, mu=20))
-        np.testing.assert_allclose(pi.rows, np.eye(2), atol=5e-18)
+        _, _, pi, _ = point(0, 0, mu=20)
+        np.testing.assert_allclose(pi[0], np.eye(2), atol=5e-18)
 
     def test_matches_reference_formulas(self):
-        params = BinaryParams(1.3, 0.4, zeta=2.0, mu=0.7, tau=0.2)
-        alpha, beta, pi, p_w = kernels(params)
+        alpha, beta, pi, p_w = point(1.3, 0.4, zeta=2.0, mu=0.7, tau=0.2)
         ref_alpha, ref_beta, ref_pi, ref_pw = reference_tables(1.3, 0.4, 2.0, 0.7, 0.2)
-        np.testing.assert_allclose(alpha.entries, ref_alpha, atol=1e-15)
-        np.testing.assert_allclose(beta.rows, ref_beta, atol=1e-15)
-        np.testing.assert_allclose(pi.rows, ref_pi, atol=1e-15)
-        np.testing.assert_allclose(p_w.probs, ref_pw, atol=1e-15)
+        np.testing.assert_allclose(alpha[0], ref_alpha, atol=1e-15)
+        np.testing.assert_allclose(beta[0], ref_beta, atol=1e-15)
+        np.testing.assert_allclose(pi[0], ref_pi, atol=1e-15)
+        np.testing.assert_allclose(p_w[0], ref_pw, atol=1e-15)
 
     def test_balanced_couplings_mix_copy_and_coin(self):
         # equal state and action couplings: the state is copied when it agrees
         # with the action, otherwise the next state is a fair coin
-        alpha, _, _, _ = kernels(BinaryParams(5, 5))
+        alpha = point(5, 5)[0][0]
         for i in range(2):
-            np.testing.assert_allclose(alpha.entries[i, i], np.eye(2)[i], atol=1e-8)
-            np.testing.assert_array_equal(alpha.entries[i, 1 - i], 0.5)
+            np.testing.assert_allclose(alpha[i, i], np.eye(2)[i], atol=1e-8)
+            np.testing.assert_array_equal(alpha[i, 1 - i], 0.5)
 
     def test_large_parameters_do_not_overflow(self):
-        alpha, _, _, _ = kernels(BinaryParams(800, 0))
-        assert np.isfinite(alpha.entries).all()
-        np.testing.assert_allclose(alpha.entries[1, 0], [0.0, 1.0], atol=1e-300)
+        alpha = point(800, 0)[0][0]
+        assert np.isfinite(alpha).all()
+        np.testing.assert_allclose(alpha[1, 0], [0.0, 1.0], atol=1e-300)
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
-            BinaryParams(-1.0, 0.0)
+            point_measures(-1.0, 0.0, 0.0, binary.STRICT, 0.0)
 
 
 class TestWorldJoint:
     def test_fully_random_loop_is_uniform(self):
-        joint = world_joint(BinaryParams(0, 0, zeta=0, mu=0, tau=0))
-        np.testing.assert_allclose(joint.probs, 1 / 8, atol=1e-15)
+        joint = world_joint_arrays(*point(0, 0, zeta=0, mu=0, tau=0))[0]
+        np.testing.assert_allclose(joint, 1 / 8, atol=1e-15)
 
     def test_state_coupling_makes_diagonal_marginal(self):
         # evaluated from the reference tables: with only the state coupling,
         # p(w, w') concentrates on the diagonal at one half each
-        joint = world_joint(BinaryParams(5, 0))
-        marginal_ww = joint.probs.sum(axis=1)
+        joint = world_joint_arrays(*point(5, 0))[0]
+        marginal_ww = joint.sum(axis=1)
         ref_alpha, ref_beta, ref_pi, ref_pw = reference_tables(5, 0, 20, 0, 0)
         expected = np.einsum(
             "w,wa,wau->wu", ref_pw, ref_beta @ ref_pi, ref_alpha
@@ -87,39 +99,36 @@ class TestWorldJoint:
         np.testing.assert_allclose(np.diag(marginal_ww), [0.5, 0.5], atol=1e-4)
 
     def test_strong_bias_concentrates_on_one_state(self):
-        joint = world_joint(BinaryParams(1, 1, tau=20))
-        assert joint.probs[0].sum() == pytest.approx(0.0, abs=1e-17)
-        assert joint.probs[1].sum() == pytest.approx(1.0, abs=1e-15)
+        joint = world_joint_arrays(*point(1, 1, tau=20))[0]
+        assert joint[0].sum() == pytest.approx(0.0, abs=1e-17)
+        assert joint[1].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestIntrinsicModel:
     def test_sharp_sensor_reproduces_world_kernel(self):
-        params = BinaryParams(2.0, 1.0)
-        model = intrinsic_model(params)
-        alpha, _, _, _ = kernels(params)
-        np.testing.assert_allclose(model.sensor_prior.probs, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(model.world_model.entries, alpha.entries, atol=1e-8)
+        maps = point(2.0, 1.0)
+        prior, _, world = intrinsic_model_arrays(*maps)
+        np.testing.assert_allclose(prior[0], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(world[0], maps[0][0], atol=1e-8)
 
     def test_blind_sensor_removes_state_information(self):
-        model = intrinsic_model(BinaryParams(3.0, 1.0, zeta=0.0))
-        np.testing.assert_allclose(
-            model.world_model.entries[0], model.world_model.entries[1], atol=1e-15
-        )
+        _, _, world = intrinsic_model_arrays(*point(3.0, 1.0, zeta=0.0))
+        np.testing.assert_allclose(world[0, 0], world[0, 1], atol=1e-15)
 
     def test_action_coupling_copies_action(self):
-        model = intrinsic_model(BinaryParams(0.0, 5.0))
+        _, _, world = intrinsic_model_arrays(*point(0.0, 5.0))
         for a in range(2):
             np.testing.assert_allclose(
-                model.world_model.entries[:, a, :], np.tile(np.eye(2)[a], (2, 1)), atol=1e-4
+                world[0, :, a, :], np.tile(np.eye(2)[a], (2, 1)), atol=1e-4
             )
 
     def test_rows_normalised_for_generic_parameters(self):
-        model = intrinsic_model(BinaryParams(1.7, 0.3, zeta=1.1, mu=0.9, tau=0.4))
-        np.testing.assert_allclose(model.world_model.entries.sum(axis=2), 1.0, atol=1e-12)
+        _, _, world = intrinsic_model_arrays(*point(1.7, 0.3, zeta=1.1, mu=0.9, tau=0.4))
+        np.testing.assert_allclose(world[0].sum(axis=2), 1.0, atol=1e-12)
 
     def test_degenerate_sensor_marginal_rejected(self):
         with pytest.raises(SupportError):
-            intrinsic_model(BinaryParams(1, 1, zeta=800, tau=800))
+            intrinsic_model_arrays(*point(1, 1, zeta=800, tau=800))
 
 
 class TestMeasureSurfaces:
@@ -159,11 +168,9 @@ class TestMeasureSurfaces:
 
     def test_sign_flip_symmetry(self):
         # with an unbiased prior nothing distinguishes the two symbols
-        from morphocomp.prob import Joint3
-
-        for params in [BinaryParams(2, 1), BinaryParams(0.5, 3, mu=1.2)]:
-            joint = world_joint(params)
-            flipped = Joint3(joint.x, joint.y, joint.z, joint.probs[::-1, ::-1, ::-1].copy())
+        for maps in [point(2, 1), point(0.5, 3, mu=1.2)]:
+            joint = Joint3(B, B, B, world_joint_arrays(*maps)[0])
+            flipped = Joint3(B, B, B, joint.probs[::-1, ::-1, ::-1].copy())
             np.testing.assert_allclose(joint.probs, flipped.probs, atol=1e-15)
             assert mc_a(flipped) == pytest.approx(mc_a(joint), abs=1e-12)
             assert mc_w(flipped) == pytest.approx(mc_w(joint), abs=1e-12)

@@ -278,6 +278,8 @@ class TestBadInputExitsTwo:
             ["binary-sweep", "--phi", "0", "--psi", "0", "--mu", "0", "--tau", "nan", "--out", "{out}"],
             ["measure", "--input", "{series}", "--out", "{series}"],
             ["measure", "--input", "{tmp}"],
+            ["measure", "--input", "{empty}", "--sensor-size", "2", "--action-size", "0"],
+            ["measure", "--input", "{series}", "--sensor-size", "-3", "--action-size", "3"],
         ],
         ids=[
             "sweep-runs-0",
@@ -296,13 +298,30 @@ class TestBadInputExitsTwo:
             "binary-tau-nan",
             "measure-out-is-a-file",
             "measure-input-is-a-directory",
+            "measure-action-size-0",
+            "measure-sensor-size-negative",
         ],
     )
     def test_exits_two_with_error_line(self, tmp_path, capsys, argv):
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
-        argv = [a.format(out=tmp_path / "out", series=series, tmp=tmp_path) for a in argv]
+        empty = write_series(tmp_path / "empty.csv", ["0,0,"])
+        argv = [
+            a.format(out=tmp_path / "out", series=series, empty=empty, tmp=tmp_path) for a in argv
+        ]
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            (["--sensor-size", "2", "--action-size", "0"], "--action-size must be at least 1, got 0"),
+            (["--sensor-size", "-3", "--action-size", "2"], "--sensor-size must be at least 1, got -3"),
+        ],
+    )
+    def test_alphabet_size_below_one_names_its_flag(self, tmp_path, capsys, sizes, message):
+        empty = write_series(tmp_path / "empty.csv", ["0,0,"])
+        assert run_cli("measure", "--input", str(empty), *sizes) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
     def test_config_file_with_nan_exits_two(self, tmp_path, capsys):
         config = tmp_path / "rotator.cfg"

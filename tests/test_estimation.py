@@ -95,11 +95,6 @@ class TestBinner:
         lo, hi = min(a, b), max(a, b)
         assert binner.index(lo) <= binner.index(hi)
 
-    def test_alphabet_labels(self):
-        alphabet = Binner(0.0, 1.0, 2).alphabet()
-        assert alphabet.size == 2
-        assert alphabet.labels == ("[0,0.5)", "[0.5,1)")
-
 
 class TestSymbolSeries:
     def test_length_mismatch(self):

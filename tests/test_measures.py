@@ -265,10 +265,7 @@ class TestCausalDeliberativeMeasure:
     def test_reactive_reduction_matches_c_a(self, rng):
         for _ in range(20):
             model = random_model(rng, 3, 2)
-            joint_ca = model.sensor_prior.probs[:, None] * model.policy.rows
-            value = c_a_deliberative(
-                model.sensor_prior, model.policy, do_s(model), do_a(model), joint_ca
-            )
+            value = c_a_deliberative(model.sensor_prior, model.policy, do_s(model), do_a(model))
             assert value == pytest.approx(c_a(model), abs=1e-9)
 
     def test_matched_kernels_give_one(self):
@@ -276,8 +273,7 @@ class TestCausalDeliberativeMeasure:
         prior = Distribution.uniform(ctrl)
         policy = Kernel2.deterministic(ctrl, ctrl, [0, 1])
         rows = Kernel2(ctrl, B, [[0.8, 0.2], [0.3, 0.7]])
-        joint_ca = prior.probs[:, None] * policy.rows
-        assert c_a_deliberative(prior, policy, rows, rows, joint_ca) == pytest.approx(1.0, abs=1e-15)
+        assert c_a_deliberative(prior, policy, rows, rows) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_state_brute_force(self):
         ctrl, act, sens = Alphabet(2), Alphabet(2), Alphabet(2)
@@ -293,7 +289,7 @@ class TestCausalDeliberativeMeasure:
             for t in range(2)
         ) / math.log(2)
         value = c_a_deliberative(
-            prior, policy, Kernel2(ctrl, sens, rows_c), Kernel2(act, sens, rows_a), joint_ca
+            prior, policy, Kernel2(ctrl, sens, rows_c), Kernel2(act, sens, rows_a)
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -303,20 +299,8 @@ class TestCausalDeliberativeMeasure:
         policy = Kernel2.uniform(ctrl, ctrl)
         rows_c = Kernel2.deterministic(ctrl, B, [0, 1])
         rows_a = Kernel2.uniform(ctrl, B)
-        joint_ca = prior.probs[:, None] * policy.rows
         with pytest.raises(SupportError):
-            c_a_deliberative(prior, policy, rows_c, rows_a, joint_ca)
-
-    def test_inconsistent_joint_rejected(self, rng):
-        model = random_model(rng, 2, 2)
-        with pytest.raises(ConsistencyError):
-            c_a_deliberative(
-                model.sensor_prior,
-                model.policy,
-                do_s(model),
-                do_a(model),
-                np.full((2, 2), 0.25),
-            )
+            c_a_deliberative(prior, policy, rows_c, rows_a)
 
 
 class TestConditionalIndependenceMeasure:

@@ -120,9 +120,15 @@ def _ensure_out(args) -> Path:
 
 
 def cmd_measure(args) -> int:
-    for flag, size in (("--sensor-size", args.sensor_size), ("--action-size", args.action_size)):
+    for column in ("sensor", "action"):
+        bins, size = getattr(args, f"{column}_bins"), getattr(args, f"{column}_size")
         if size is not None and size < 1:
-            raise UsageError(f"{flag} must be at least 1, got {size}")
+            raise UsageError(f"--{column}-size must be at least 1, got {size}")
+        if bins and size is not None:
+            raise UsageError(
+                f"--{column}-bins and --{column}-size conflict: a binned column's "
+                "alphabet size is its bin count"
+            )
     sensor_binner = _parse_binner(args.sensor_bins) if args.sensor_bins else None
     action_binner = _parse_binner(args.action_bins) if args.action_bins else None
     series, s_alph, a_alph = read_symbol_series(

@@ -9,13 +9,20 @@ uniform, which keeps all divergences in the measures finite.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .measures import IntrinsicModel
 from .prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3, compose_joint
+
+
+# characters per read when the CSV fast path scans a file for quotes and line ends
+SCAN_CHUNK = 1 << 20
 
 
 class DataError(ValueError):
@@ -63,8 +70,12 @@ class Binner:
     bins: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(f"binner bounds must be finite, got [{self.low}, {self.high}]")
         if not self.low < self.high:
             raise ValueError(f"binner needs low < high, got [{self.low}, {self.high}]")
+        if not math.isfinite(self.high - self.low):
+            raise ValueError(f"binner width of [{self.low}, {self.high}] overflows")
         if self.bins < 1:
             raise ValueError("binner needs at least one bin")
 
@@ -138,8 +149,93 @@ def read_symbol_series(
     inferred as max+1) or reals, which require the corresponding binner.
     The last row may leave `a` empty to record the final sensor reading;
     otherwise the trailing action has no observed successor and is dropped.
+
+    A well-formed file is parsed by numpy's C reader; any other file goes
+    through the row loop, whose DataError names the file line at fault.
     """
     path = Path(path)
+    specs = ((sensor_binner, sensor_size), (action_binner, action_size))
+    return _series(_read_fast(path, specs) or _read_rows(path, specs), specs)
+
+
+def _series(columns, specs):
+    """The series and alphabets of checked sensor and action values."""
+    (sensors, sensor_alphabet), (actions, action_alphabet) = (
+        _symbols(values, *spec) for values, spec in zip(columns, specs)
+    )
+    if len(actions) == len(sensors):
+        # no successor recorded for the last action
+        actions = actions[:-1]
+    return SymbolSeries(sensors, actions), sensor_alphabet, action_alphabet
+
+
+def _symbols(values, binner, size):
+    if binner is not None:
+        return binner.index(values), binner.alphabet()
+    if size is None:
+        size = int(values.max()) + 1 if len(values) else 1
+    return values, Alphabet(size)
+
+
+def _accepted(values, binner, size) -> bool:
+    """Whether the row loop takes these values of one column without a DataError."""
+    if binner is not None:
+        return bool(np.isfinite(values).all())
+    return not len(values) or (values.min() >= 0 and (size is None or values.max() < size))
+
+
+def _read_fast(path, specs):
+    """Sensor and action values of a well-formed file, parsed by `np.loadtxt`.
+
+    Returns None, leaving the file to the row loop, if the file holds a
+    quote (csv splits quoted cells, loadtxt does not), a bad header, a short
+    or whitespace-only row, a blank last line, a cell loadtxt cannot parse,
+    or a value the row loop rejects.  Both skip empty rows.  The last row's
+    action may be blank, so it is parsed with that cell set to 0, which is
+    then dropped.
+    """
+    try:
+        # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
+        with path.open() as handle:
+            lines, previous, tail = 0, "", ""
+            for chunk in iter(partial(handle.read, SCAN_CHUNK), ""):
+                if '"' in chunk:
+                    return None
+                lines += chunk.count("\n")
+                previous, tail = tail, chunk
+            lines += not tail.endswith("\n")
+            # the last line is whole in the last two chunks unless it is
+            # longer than a chunk; then they hold no line end before it
+            body = (previous + tail).removesuffix("\n")
+            if lines < 2 or "\n" not in body:
+                return None
+            last = body[body.rfind("\n") + 1 :].split(",")
+            handle.seek(0)
+            header = handle.readline().split(",")
+            if len(last) < 3 or [cell.strip().lower() for cell in header[:3]] != ["t", "s", "a"]:
+                return None
+            final_blank = not last[2].strip()
+            if final_blank:
+                last[2] = "0"
+            kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
+            rows = np.loadtxt(
+                chain(islice(handle, lines - 2), [",".join(last)]),
+                dtype=list(zip("sa", kinds)),
+                delimiter=",",
+                usecols=(1, 2),
+                comments=None,
+                ndmin=1,
+            )
+    except ValueError:
+        return None
+    columns = rows["s"], rows["a"][:-1] if final_blank else rows["a"]
+    if all(_accepted(values, *spec) for values, spec in zip(columns, specs)):
+        return columns
+    return None
+
+
+def _read_rows(path, specs):
+    """Sensor and action values parsed row by row; a DataError names the file line."""
     # the file line of each data row, so messages name lines past blank rows
     linenos: list[int] = []
     sensor_raw: list[str] = []
@@ -147,44 +243,38 @@ def read_symbol_series(
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip().lower() for h in header]
-        if header[:3] != ["t", "s", "a"]:
-            raise DataError(f"{path}: expected header t,s,a, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            linenos.append(lineno)
-            sensor_raw.append(row[1].strip())
-            action_raw.append(row[2].strip())
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip().lower() for h in header]
+            if header[:3] != ["t", "s", "a"]:
+                raise DataError(f"{path}: expected header t,s,a, got {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < 3:
+                    raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                linenos.append(lineno)
+                sensor_raw.append(row[1].strip())
+                action_raw.append(row[2].strip())
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not sensor_raw:
         raise DataError(f"{path}: no data rows")
 
-    final_blank = action_raw[-1] == ""
-    if final_blank:
+    if action_raw[-1] == "":
         action_raw.pop()
     if "" in action_raw:
         lineno = linenos[action_raw.index("")]
         raise DataError(f"{path}:{lineno}: empty action before the final row")
-
-    sensors, sensor_alphabet = _parse_column(
-        path, sensor_raw, linenos, sensor_binner, sensor_size, "s"
+    return tuple(
+        _parse_column(path, cells, linenos, *spec, name)
+        for cells, spec, name in zip((sensor_raw, action_raw), specs, "sa")
     )
-    actions, action_alphabet = _parse_column(
-        path, action_raw, linenos, action_binner, action_size, "a"
-    )
-    if not final_blank:
-        # no successor recorded for the last action
-        actions = actions[:-1]
-    return SymbolSeries(sensors, actions), sensor_alphabet, action_alphabet
 
 
 def _parse_column(path, cells, linenos, binner, size, name):
-    """Symbols of one column; cells[i] sits on file line linenos[i]."""
+    """Checked values of one column; cells[i] sits on file line linenos[i]."""
     if binner is not None:
         remaining = iter(cells)
         try:
@@ -196,7 +286,7 @@ def _parse_column(path, cells, linenos, binner, size, name):
         if not np.isfinite(values).all():
             row = linenos[int(np.argmax(~np.isfinite(values)))]
             raise DataError(f"{path}:{row}: non-finite value in column {name}")
-        return binner.index(values), binner.alphabet()
+        return values
     symbols = np.empty(len(cells), dtype=np.int64)
     for i, cell in enumerate(cells):
         try:
@@ -213,12 +303,10 @@ def _parse_column(path, cells, linenos, binner, size, name):
     if (symbols < 0).any():
         row = linenos[int(np.argmax(symbols < 0))]
         raise DataError(f"{path}:{row}: negative symbol in column {name}")
-    if size is None:
-        size = int(symbols.max()) + 1 if len(symbols) else 1
-    elif len(symbols) and int(symbols.max()) >= size:
+    if size is not None and len(symbols) and int(symbols.max()) >= size:
         row = linenos[int(np.argmax(symbols == symbols.max()))]
         raise DataError(
             f"{path}:{row}: column {name} symbol {int(symbols.max())} does not "
             f"fit alphabet of size {size}"
         )
-    return symbols, Alphabet(size)
+    return symbols

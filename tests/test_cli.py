@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,10 @@ class TestBadInputExitsTwo:
             ["measure", "--input", "{tmp}"],
             ["measure", "--input", "{empty}", "--sensor-size", "2", "--action-size", "0"],
             ["measure", "--input", "{series}", "--sensor-size", "-3", "--action-size", "3"],
+            ["measure", "--input", "{series}", "--sensor-bins", "0:inf:30"],
+            ["measure", "--input", "{series}", "--sensor-bins=-inf:8:30"],
+            ["measure", "--input", "{series}", "--sensor-bins", "0:8:30", "--sensor-size", "5"],
+            ["measure", "--input", "{series}", "--action-bins=-1:1:30", "--action-size", "5"],
         ],
         ids=[
             "sweep-runs-0",
@@ -300,6 +305,10 @@ class TestBadInputExitsTwo:
             "measure-input-is-a-directory",
             "measure-action-size-0",
             "measure-sensor-size-negative",
+            "measure-sensor-bins-high-inf",
+            "measure-sensor-bins-low-minus-inf",
+            "measure-sensor-bins-with-sensor-size",
+            "measure-action-bins-with-action-size",
         ],
     )
     def test_exits_two_with_error_line(self, tmp_path, capsys, argv):
@@ -322,6 +331,27 @@ class TestBadInputExitsTwo:
         empty = write_series(tmp_path / "empty.csv", ["0,0,"])
         assert run_cli("measure", "--input", str(empty), *sizes) == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize("column", ["sensor", "action"])
+    def test_bins_with_size_names_both_flags(self, tmp_path, capsys, column):
+        series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
+        argv = ["measure", "--input", str(series), f"--{column}-bins=-1:1:30", f"--{column}-size", "5"]
+        assert run_cli(*argv) == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith(f"error: --{column}-bins and --{column}-size conflict")
+
+    @pytest.mark.parametrize(
+        "spec, bounds",
+        [("0:inf:30", "[0.0, inf]"), ("-inf:8:30", "[-inf, 8.0]"), ("nan:8:30", "[nan, 8.0]")],
+    )
+    def test_non_finite_binner_bound_is_named(self, tmp_path, capsys, spec, bounds):
+        series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("measure", "--input", str(series), f"--sensor-bins={spec}") == 2
+        assert capsys.readouterr().err == (
+            f"error: bad binner spec {spec!r}: binner bounds must be finite, got {bounds}\n"
+        )
 
     def test_config_file_with_nan_exits_two(self, tmp_path, capsys):
         config = tmp_path / "rotator.cfg"

@@ -1,11 +1,19 @@
+import contextlib
+import csv
+import io
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel2, random_kernel3
+from morphocomp import estimation
+from morphocomp.cli import main
 from morphocomp.estimation import (
     Binner,
     DataError,
@@ -83,6 +91,21 @@ class TestBinner:
             Binner(1.0, 1.0, 4)
         with pytest.raises(ValueError):
             Binner(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [
+            (0.0, math.inf, "bounds must be finite"),
+            (-math.inf, 8.0, "bounds must be finite"),
+            (math.nan, 1.0, "bounds must be finite"),
+            (0.0, math.nan, "bounds must be finite"),
+            (-1e308, 1e308, "width of .* overflows"),
+        ],
+        ids=["high-inf", "low-minus-inf", "low-nan", "high-nan", "width-overflows"],
+    )
+    def test_non_finite_bounds_rejected(self, low, high, message):
+        with pytest.raises(ValueError, match=message):
+            Binner(low, high, 30)
 
     @given(
         st.floats(-20, 20),
@@ -304,3 +327,293 @@ class TestCsv:
         message = rf"series.csv:4: column {column}: could not convert string to float: 'x'$"
         with pytest.raises(DataError, match=message):
             read_symbol_series(path, **binners)
+
+    def test_oversized_cell_names_its_line(self, tmp_path):
+        # csv.reader refuses a cell over its field size limit
+        path = self.write(tmp_path, f"t,s,a\n0,0,1\n1,{'1' * 200_000},0\n2,1,\n")
+        with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
+            read_symbol_series(path)
+
+
+SENSOR_BINNER = Binner(0.0, 8.0, 30)
+ACTION_BINNER = Binner(-1.0, 1.0, 30)
+
+
+def column_specs(options):
+    """The (binner, size) of the sensor and action columns in reader options."""
+    return tuple(
+        (options.get(f"{name}_binner"), options.get(f"{name}_size")) for name in ("sensor", "action")
+    )
+
+
+def read_by_row_loop(path, **options):
+    """`read_symbol_series` with the numpy fast path left out."""
+    specs = column_specs(options)
+    return estimation._series(estimation._read_rows(Path(path), specs), specs)
+
+
+def outcome(read, path, options):
+    """What a reader makes of a file: the series and alphabet sizes, or the DataError text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            series, sensor_alphabet, action_alphabet = read(path, **options)
+        except DataError as exc:
+            return str(exc)
+    return (
+        series.sensors.tolist(),
+        series.actions.tolist(),
+        sensor_alphabet.size,
+        action_alphabet.size,
+    )
+
+
+def fast_columns(path, options):
+    return estimation._read_fast(Path(path), column_specs(options))
+
+
+class TestFastPath:
+    """Well-formed files are parsed by numpy's C reader, never by the row loop."""
+
+    @pytest.fixture(autouse=True)
+    def no_row_loop(self, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("the row loop ran on a well-formed file")
+
+        monkeypatch.setattr(estimation, "_read_rows", row_loop)
+
+    def read(self, path, **options):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read_symbol_series(path, **options)
+
+    def test_rotator_run_series(self, tmp_path, capsys):
+        out = tmp_path / "episode"
+        assert main(["rotator", "run", "--eta", "0.5", "--steps", "300", "--out", str(out)]) == 0
+        path = out / "series.csv"
+        # csv.writer ends its rows with \r\n, and the final action is blank
+        assert path.read_bytes().endswith(b",\r\n")
+        series, sensor_alphabet, action_alphabet = self.read(
+            path, sensor_binner=SENSOR_BINNER, action_binner=ACTION_BINNER
+        )
+        assert len(series) == 300
+        assert (sensor_alphabet.size, action_alphabet.size) == (30, 30)
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        np.testing.assert_array_equal(
+            series.sensors, SENSOR_BINNER.index([float(row[1]) for row in rows])
+        )
+        np.testing.assert_array_equal(
+            series.actions, ACTION_BINNER.index([float(row[2]) for row in rows[:-1]])
+        )
+
+    def test_integer_symbols(self, tmp_path):
+        path = tmp_path / "ints.csv"
+        path.write_text("t,s,a\n0,0,1\n1, +2 ,0\n\n2,4,3\n3,1,7\n")
+        series, sensor_alphabet, action_alphabet = self.read(path)
+        np.testing.assert_array_equal(series.sensors, [0, 2, 4, 1])
+        np.testing.assert_array_equal(series.actions, [1, 0, 3])
+        # the dropped trailing action still sizes the inferred alphabet
+        assert (sensor_alphabet.size, action_alphabet.size) == (5, 8)
+
+    def test_mixed_integer_and_real_columns(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("t,s,a\n0,3,-0.95\n1,0,0.5\n2,7,\n")
+        series, sensor_alphabet, action_alphabet = self.read(
+            path, sensor_size=8, action_binner=ACTION_BINNER
+        )
+        np.testing.assert_array_equal(series.sensors, [3, 0, 7])
+        np.testing.assert_array_equal(series.actions, [0, 22])
+        assert (sensor_alphabet.size, action_alphabet.size) == (8, 30)
+
+    def test_one_data_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("t,s,a\n0,2.5,")
+        series, _, _ = self.read(path, sensor_binner=SENSOR_BINNER, action_size=3)
+        np.testing.assert_array_equal(series.sensors, [9])
+        assert len(series) == 0
+
+
+# (file text, reader options, why the fast path hands the file to the row loop)
+FALLBACKS = {
+    "quoted-cell-with-comma": (
+        't,s,a\n"0,1.5,2.5,",9,0.5\n1,2,\n',
+        {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER},
+    ),
+    "whitespace-only-row": ("t,s,a\n0,1,1\n \t \n1,2,\n", {}),
+    "blank-cells-row": ("t,s,a\n0,1,1\n , ,\n1,2,\n", {}),
+    "blank-last-line": ("t,s,a\n0,1,1\n1,2,\n\n", {}),
+    "short-row": ("t,s,a\n0,1,1\n1,2\n2,1,\n", {}),
+    "header-only": ("t,s,a\n", {}),
+    "bad-header": ("t,x,a\n0,1,1\n1,2,\n", {}),
+    "byte-order-mark": ("\ufefft,s,a\n0,1,1\n1,2,\n", {}),
+    "underscore-in-number": ("t,s,a\n0,1_0,1\n1,2,\n", {}),
+    "float-in-integer-column": ("t,s,a\n0,3.0,1\n1,2,\n", {}),
+    "integer-beyond-int64": ("t,s,a\n0,99999999999999999999,1\n1,2,\n", {}),
+    "negative-symbol": ("t,s,a\n0,-1,1\n1,2,\n", {}),
+    "out-of-alphabet": ("t,s,a\n0,5,1\n1,2,\n", {"sensor_size": 3}),
+    "out-of-alphabet-final-action": ("t,s,a\n0,1,1\n1,2,3\n", {"action_size": 3}),
+    "non-finite-real": ("t,s,a\n0,1e400,0.5\n1,2,\n", {"sensor_binner": SENSOR_BINNER}),
+    "unparsable-real": ("t,s,a\n0,1,x\n1,2,\n", {"action_binner": ACTION_BINNER}),
+    "interior-empty-action": ("t,s,a\n0,1,\n1,2,0\n2,0,\n", {}),
+    "empty-file": ("", {}),
+}
+
+
+class TestFallback:
+    """Every file the C reader cannot take exactly goes to the row loop."""
+
+    @pytest.mark.parametrize("text, options", FALLBACKS.values(), ids=FALLBACKS.keys())
+    def test_row_loop_reads_it(self, tmp_path, text, options):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        assert fast_columns(path, options) is None
+        assert outcome(read_symbol_series, path, options) == outcome(
+            read_by_row_loop, path, options
+        )
+
+    def test_quoted_cell_is_read_as_csv_reads_it(self, tmp_path):
+        # split at every comma, the row would read s = 1.5, a = 2.5
+        text, options = FALLBACKS["quoted-cell-with-comma"]
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        series, _, _ = read_symbol_series(path, **options)
+        np.testing.assert_array_equal(series.sensors, SENSOR_BINNER.index([9.0, 2.0]))
+        np.testing.assert_array_equal(series.actions, ACTION_BINNER.index([0.5]))
+
+    def test_last_line_longer_than_two_scan_chunks(self, tmp_path, monkeypatch):
+        # the last two 4-character chunks hold only "7,7,7,7" of the last line
+        monkeypatch.setattr(estimation, "SCAN_CHUNK", 4)
+        path = tmp_path / "series.csv"
+        path.write_text("t,s,a\n0,1,1\n1,2,0,7,7,7,7")
+        assert fast_columns(path, {}) is None
+        series, _, _ = read_symbol_series(path)
+        np.testing.assert_array_equal(series.sensors, [1, 2])
+        np.testing.assert_array_equal(series.actions, [1])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,s,a\n0,1,1\n\n\n1,2,0\n\n2,0,\n",
+            "t,s,a\r\n0,1,1\r\n1,2,0\r\n2,0,\r\n",
+            "t,s,a\r0,1,1\r1,2,0\r\n2,0,",
+            "T , S,A,extra\n0, 1 ,+1,9,9\n1,2,0\n2,0,1,x\n",
+            "t,s,a\n0,1,1\n1,2, \t\n",
+        ],
+        ids=["blank-rows", "crlf", "lone-cr", "spaces-signs-extra-columns", "final-action-spaces"],
+    )
+    def test_tolerated_layouts_stay_on_the_c_path(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        assert fast_columns(path, {}) is not None
+        assert outcome(read_symbol_series, path, {}) == outcome(read_by_row_loop, path, {})
+
+
+INTEGER_ODDITIES = [
+    "-1", "+3", " 2 ", "007", "1_0", "3.0", "", " ", "x",
+    "99999999999999999999", "-99999999999999999999",
+]
+REAL_ODDITIES = [
+    "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "1_0", "+3", " 2.5 ", "3", "", "x",
+]
+
+
+@st.composite
+def csv_files(draw):
+    """A t,s,a file that may break any rule, with the reader options for it."""
+    real = draw(st.tuples(st.booleans(), st.booleans()))
+    messy = draw(st.booleans())
+
+    def cell(column):
+        # in a messy file, one cell in eight is an oddity
+        if messy and draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(REAL_ODDITIES if real[column] else INTEGER_ODDITIES))
+        return draw(st.floats(-2.0, 10.0).map(repr) if real[column] else st.integers(0, 6).map(str))
+
+    def row():
+        t = draw(st.sampled_from(["0", "3", "1", "-2.5", "", "t"]))
+        s, a = cell(0), cell(1)
+        layout = "row"
+        if messy:
+            layout = draw(
+                st.sampled_from(
+                    ["row"] * 12 + ["blank", "spaces", "blank-cells", "short", "long", "quoted"]
+                )
+            )
+        if layout == "blank":
+            return ""
+        if layout == "spaces":
+            return " \t "
+        if layout == "blank-cells":
+            return " , ,"
+        if layout == "short":
+            return draw(st.sampled_from([f"{t},{s}", t]))
+        if layout == "long":
+            return f"{t},{s},{a},{draw(st.sampled_from(['9', '', 'x,y']))}"
+        if layout == "quoted":
+            # the first holds commas inside quotes, with other values than the row's
+            return draw(
+                st.sampled_from(
+                    [f'"{t},{cell(0)},{cell(1)},",{s},{a}', f'{t},"{s}",{a}', f'{t},"{s},{a}",{a}']
+                )
+            )
+        return f"{t},{s},{a}"
+
+    header = "t,s,a"
+    if messy:
+        header = draw(st.sampled_from(["t,s,a", "T, S ,A", "t,s,a,x", "\ufefft,s,a", "t,s", "s,t,a"]))
+    rows = [header] + [row() for _ in range(draw(st.integers(0, 6)))]
+    final = row()
+    if draw(st.booleans()) and final.count(",") >= 2:
+        final = final[: final.rindex(",") + 1]
+    rows.append(final)
+    endings = ["\n", "\r\n", "\r"] if messy else ["\n", "\r\n"]
+    text = "".join(line + draw(st.sampled_from(endings)) for line in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if messy and draw(st.booleans()):
+        text += "\n" * draw(st.integers(1, 2))
+
+    options = {}
+    for column, name, binner in ((0, "sensor", SENSOR_BINNER), (1, "action", ACTION_BINNER)):
+        if real[column]:
+            options[f"{name}_binner"] = binner
+        elif draw(st.booleans()):
+            options[f"{name}_size"] = draw(st.integers(1, 8))
+    return text, options
+
+
+def cli_flags(options):
+    flags = []
+    for name in ("sensor", "action"):
+        if f"{name}_binner" in options:
+            binner = options[f"{name}_binner"]
+            flags.append(f"--{name}-bins={binner.low}:{binner.high}:{binner.bins}")
+        if f"{name}_size" in options:
+            flags.append(f"--{name}-size={options[f'{name}_size']}")
+    return flags
+
+
+class TestFastMatchesRowLoop:
+    @given(csv_files())
+    @settings(max_examples=500, deadline=None)
+    def test_same_series_or_same_error(self, drawn):
+        text, options = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_bytes(text.encode())
+            columns = fast_columns(path, options)
+            expected = outcome(read_by_row_loop, path, options)
+            event("row loop raised" if isinstance(expected, str) else "row loop read it")
+            event("fast path declined" if columns is None else "fast path read it")
+            assert outcome(read_symbol_series, path, options) == expected
+            if columns is not None:
+                # the C reader's values are the row loop's, bit for bit
+                for fast, slow in zip(columns, estimation._read_rows(path, column_specs(options))):
+                    assert fast.dtype == slow.dtype
+                    assert fast.tobytes() == slow.tobytes()
+            if isinstance(expected, str):
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["measure", "--input", str(path), *cli_flags(options)]) == 2
+                assert stderr.getvalue().splitlines()[-1] == f"error: {expected}"

@@ -25,7 +25,6 @@ from .prob import (
     Joint3,
     Kernel2,
     Kernel3,
-    chain,
     compose_joint,
     conditional_mutual_information,
     kl,
@@ -47,7 +46,6 @@ __all__ = [
     "c_a",
     "c_a_deliberative",
     "c_w",
-    "chain",
     "cif",
     "compose_joint",
     "conditional_mutual_information",

@@ -51,20 +51,6 @@ class UsageError(ValueError):
     """Bad flag combination detected after argparse."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to regenerate a command's outputs bit-identically."""
-
-    command: str
-    config: dict
-    tool_version: str
-    master_seed: int | None
-    outputs: list[str]
-
-    def write(self, out_dir: Path) -> None:
-        _write_json(out_dir / "manifest.json", dataclasses.asdict(self))
-
-
 def _parse_binner(text: str) -> Binner:
     parts = text.split(":")
     if len(parts) != 3:
@@ -76,7 +62,15 @@ def _parse_binner(text: str) -> Binner:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str]) -> None:
-    RunManifest(command, config, __version__, seed, outputs).write(out_dir)
+    """Write manifest.json: everything needed to regenerate the outputs bit-identically."""
+    manifest = {
+        "command": command,
+        "config": config,
+        "tool_version": __version__,
+        "master_seed": seed,
+        "outputs": outputs,
+    }
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -144,6 +138,8 @@ def cmd_measure(args) -> int:
             raise UsageError(
                 f"unknown measure {name!r}; choose from {', '.join(INTRINSIC_MEASURES)}"
             )
+        if names.count(name) > 1:
+            raise UsageError(f"measure {name!r} is named more than once in --measures")
     model = estimate(series, s_alph, a_alph)
     report = MeasureReport(
         intrinsic_measures(model, names),
@@ -182,20 +178,17 @@ def cmd_measure(args) -> int:
 
 
 def cmd_binary_sweep(args) -> int:
-    phi = args.phi if args.phi is not None else list(binary.DEFAULT_GRID)
-    psi = args.psi if args.psi is not None else list(binary.DEFAULT_GRID)
-    mu = args.mu if args.mu is not None else list(binary.DEFAULT_MU_VALUES)
-    reports = binary.sweep(phi, psi, mu, zeta=args.zeta, tau=args.tau)
-    points = len(phi) * len(psi) * len(mu)
+    reports = binary.sweep(args.phi, args.psi, args.mu, zeta=args.zeta, tau=args.tau)
+    points = len(args.phi) * len(args.psi) * len(args.mu)
     out = _ensure_out(args)
     table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, reports)
     _write_manifest(
         out,
         "binary-sweep",
         {
-            "phi": [float(v) for v in phi],
-            "psi": [float(v) for v in psi],
-            "mu": [float(v) for v in mu],
+            "phi": [float(v) for v in args.phi],
+            "psi": [float(v) for v in args.psi],
+            "mu": [float(v) for v in args.mu],
             "zeta": args.zeta,
             "tau": args.tau,
             "format": args.format,
@@ -216,24 +209,16 @@ def _warn_soft_range(name: str, value: float, low: float, high: float) -> None:
         )
 
 
-def _rotator_config(args, scalar_cell: bool) -> RotatorConfig:
+def _rotator_config(args) -> RotatorConfig:
     """Config-file values first (if given), explicit flags override."""
+    # `rotator sweep` has no eta or beta flag: its grids are eta_grid and beta_grid
     cfg = rotator.load_config(args.config) if args.config else RotatorConfig()
-    overrides = {}
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if scalar_cell:
-        if args.eta is not None:
-            overrides["eta"] = args.eta
-        if args.beta is not None:
-            overrides["beta"] = args.beta
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    flags = {name: getattr(args, name, None) for name in ("steps", "seed", "eta", "beta")}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_rotator_run(args) -> int:
-    cfg = _rotator_config(args, scalar_cell=True)
+    cfg = _rotator_config(args)
     _warn_soft_range("eta", cfg.eta, *ETA_RANGE)
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
     episode = rotator.run_episode(cfg)
@@ -270,14 +255,12 @@ def cmd_rotator_run(args) -> int:
 
 
 def cmd_rotator_sweep(args) -> int:
-    eta_values = args.eta if args.eta is not None else [round(0.025 * i, 3) for i in range(21)]
-    beta_values = args.beta if args.beta is not None else [round(0.01 * i, 2) for i in range(201)]
-    for eta in eta_values:
+    for eta in args.eta_grid:
         _warn_soft_range("eta", eta, *ETA_RANGE)
-    for beta in beta_values:
+    for beta in args.beta_grid:
         _warn_soft_range("beta", beta, *BETA_RANGE)
-    cfg = _rotator_config(args, scalar_cell=False)
-    reports = rotator.sweep(eta_values, beta_values, args.runs, cfg)
+    cfg = _rotator_config(args)
+    reports = rotator.sweep(args.eta_grid, args.beta_grid, args.runs, cfg)
     out = _ensure_out(args)
     table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, reports)
     _write_manifest(
@@ -285,8 +268,8 @@ def cmd_rotator_sweep(args) -> int:
         "rotator-sweep",
         {
             **dataclasses.asdict(cfg),
-            "eta_grid": [float(v) for v in eta_values],
-            "beta_grid": [float(v) for v in beta_values],
+            "eta_grid": [float(v) for v in args.eta_grid],
+            "beta_grid": [float(v) for v in args.beta_grid],
             "runs": args.runs,
             "config_file": args.config,
             "format": args.format,
@@ -294,7 +277,7 @@ def cmd_rotator_sweep(args) -> int:
         cfg.seed,
         [table_path.name],
     )
-    print(f"{len(eta_values) * len(beta_values)} cells x {args.runs} runs -> {table_path}")
+    print(f"{len(args.eta_grid) * len(args.beta_grid)} cells x {args.runs} runs -> {table_path}")
     return 0
 
 
@@ -329,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_binary.add_argument("--tau", type=float, default=0.0, help="world prior bias")
     p_binary.add_argument("--out", required=True, help="output directory")
     p_binary.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_binary.set_defaults(func=cmd_binary_sweep)
+    grid = binary.DEFAULT_GRID
+    p_binary.set_defaults(func=cmd_binary_sweep, phi=grid, psi=grid, mu=binary.DEFAULT_MU_VALUES)
 
     p_rot = sub.add_parser("rotator", help="pendulum experiment")
     rot_sub = p_rot.add_subparsers(dest="rotator_command", required=True)
@@ -345,14 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = rot_sub.add_parser("sweep", help="grid of averaged measures")
     p_sweep.add_argument("--config", help="key = value config file; flags override")
-    p_sweep.add_argument("--eta", type=float, nargs="+", help="noise grid")
-    p_sweep.add_argument("--beta", type=float, nargs="+", help="deadband grid")
+    p_sweep.add_argument("--eta", type=float, nargs="+", dest="eta_grid", help="noise grid")
+    p_sweep.add_argument("--beta", type=float, nargs="+", dest="beta_grid", help="deadband grid")
     p_sweep.add_argument("--runs", type=int, default=10, help="episodes per cell")
     p_sweep.add_argument("--steps", type=int, help="control updates (default 5000)")
     p_sweep.add_argument("--seed", type=int, help="master seed (default 0)")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=cmd_rotator_sweep)
+    eta_grid = [round(0.025 * i, 3) for i in range(21)]
+    beta_grid = [round(0.01 * i, 2) for i in range(201)]
+    p_sweep.set_defaults(func=cmd_rotator_sweep, eta_grid=eta_grid, beta_grid=beta_grid)
 
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -74,21 +75,24 @@ class Binner:
             raise ValueError(f"binner bounds must be finite, got [{self.low}, {self.high}]")
         if not self.low < self.high:
             raise ValueError(f"binner needs low < high, got [{self.low}, {self.high}]")
-        if not math.isfinite(self.high - self.low):
-            raise ValueError(f"binner width of [{self.low}, {self.high}] overflows")
         if self.bins < 1:
             raise ValueError("binner needs at least one bin")
+        if not math.isfinite(self.bins * (self.high - self.low)):
+            raise ValueError(f"binner width of [{self.low}, {self.high}] x {self.bins} bins overflows")
 
     def index(self, value):
-        """Bin index floor(bins * (v - low)/(high - low)), clamped to range.
+        """Bin index floor(bins * (v - low)/(high - low)) of v clipped to [low, high].
 
-        Intervals are half-open with the top bin closed, so edges land
-        deterministically.  Accepts scalars or arrays.
+        Half-open intervals with the top bin closed, so edges land deterministically;
+        the clip keeps the product finite.  Accepts scalars or arrays.
         """
         arr = np.asarray(value, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise DataError("cannot bin non-finite values")
-        raw = np.floor(self.bins * (arr - self.low) / (self.high - self.low))
+        # clipped inline, so numpy reuses the temporary copy's buffer for the arithmetic
+        raw = np.floor(
+            self.bins * (np.clip(arr, self.low, self.high) - self.low) / (self.high - self.low)
+        )
         idx = np.clip(raw, 0, self.bins - 1).astype(np.int64)
         return int(idx) if np.isscalar(value) or arr.ndim == 0 else idx
 
@@ -196,7 +200,7 @@ def _read_fast(path, specs):
     """
     try:
         # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
-        with path.open() as handle:
+        with path.open(encoding="utf-8") as handle:
             lines, previous, tail = 0, "", ""
             for chunk in iter(partial(handle.read, SCAN_CHUNK), ""):
                 if '"' in chunk:
@@ -240,7 +244,7 @@ def _read_rows(path, specs):
     linenos: list[int] = []
     sensor_raw: list[str] = []
     action_raw: list[str] = []
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -259,6 +263,8 @@ def _read_rows(path, specs):
                 action_raw.append(row[2].strip())
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}:{_first_bad_utf8_line(path)}: not valid UTF-8") from None
     if not sensor_raw:
         raise DataError(f"{path}: no data rows")
 
@@ -271,6 +277,14 @@ def _read_rows(path, specs):
         _parse_column(path, cells, linenos, *spec, name)
         for cells, spec, name in zip((sensor_raw, action_raw), specs, "sa")
     )
+
+
+def _first_bad_utf8_line(path) -> int:
+    r"""The file line (\n, \r\n and lone \r end one) of the first byte that is not UTF-8."""
+    # surrogateescape decodes each bad byte to one of U+DC80..U+DCFF
+    text = path.read_bytes().decode("utf-8", errors="surrogateescape")
+    head = text[: re.search("[\udc80-\udcff]", text).start()]
+    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
 
 
 def _parse_column(path, cells, linenos, binner, size, name):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -144,16 +143,6 @@ class Distribution:
     def __post_init__(self):
         _validate(self, "probs", (self.alphabet.size,), "distribution")
 
-    @classmethod
-    def uniform(cls, alphabet: Alphabet) -> "Distribution":
-        return cls(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
-
-    @classmethod
-    def point(cls, alphabet: Alphabet, index: int) -> "Distribution":
-        probs = np.zeros(alphabet.size)
-        probs[index] = 1.0
-        return cls(alphabet, probs)
-
 
 @dataclass(frozen=True, eq=False)
 class Kernel2:
@@ -165,20 +154,6 @@ class Kernel2:
 
     def __post_init__(self):
         _validate(self, "rows", (self.source.size, self.target.size), "kernel")
-
-    @classmethod
-    def uniform(cls, source: Alphabet, target: Alphabet) -> "Kernel2":
-        rows = np.full((source.size, target.size), 1.0 / target.size)
-        return cls(source, target, rows)
-
-    @classmethod
-    def deterministic(
-        cls, source: Alphabet, target: Alphabet, mapping: Sequence[int]
-    ) -> "Kernel2":
-        """Dirac rows: symbol x maps to mapping[x] with probability one."""
-        rows = np.zeros((source.size, target.size))
-        rows[np.arange(source.size), np.asarray(mapping, dtype=int)] = 1.0
-        return cls(source, target, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +168,6 @@ class Kernel3:
     def __post_init__(self):
         shape = (self.source1.size, self.source2.size, self.target.size)
         _validate(self, "entries", shape, "kernel")
-
-    @classmethod
-    def uniform(cls, source1: Alphabet, source2: Alphabet, target: Alphabet) -> "Kernel3":
-        entries = np.full(
-            (source1.size, source2.size, target.size), 1.0 / target.size
-        )
-        return cls(source1, source2, target, entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,28 +236,19 @@ def cmi_arrays(P: np.ndarray, given: int) -> np.ndarray:
     return np.where(value > 0.0, value, 0.0)
 
 
-def conditional_mutual_information(joint: Joint3, source: int, given: int) -> float:
-    """I(Z; source | given) in nats, with Z fixed as axis 2.
+def conditional_mutual_information(joint: Joint3, given: int) -> float:
+    """I(Z; source | given) in nats, with Z fixed as axis 2 and source the other axis.
 
-    Equals sum_{x,y,z} p(x,y,z) ln[ p(z|x,y) / p(z|given) ] for
-    (source, given) = (1, 0) or (0, 1).
+    Equals sum_{x,y,z} p(x,y,z) ln[ p(z|x,y) / p(z|given) ] for given 0 or 1.
     """
-    if {source, given} != {0, 1}:
-        raise ValueError("source/given must be axes 0 and 1 in either order")
+    if given not in (0, 1):
+        raise ValueError(f"given must be axis 0 or 1, got {given!r}")
     return float(cmi_arrays(joint.probs[None], given)[0])
 
 
 def chain_arrays(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Stacked kernels p(z|x) = sum_y p(z|y) p(y|x) from (B,X,Y) and (B,Y,Z) rows."""
     return check_probs(np.matmul(first, second), "kernel")
-
-
-def chain(first: Kernel2, second: Kernel2) -> Kernel2:
-    """Compose kernels: p(z|x) = sum_y p(z|y) p(y|x)."""
-    if first.target != second.source:
-        raise DimensionError("chained kernels must share the middle alphabet")
-    rows = chain_arrays(first.rows[None], second.rows[None])[0]
-    return Kernel2(first.source, second.target, rows)
 
 
 def log_size(size: int) -> float:

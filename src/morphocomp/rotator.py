@@ -156,8 +156,8 @@ def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float, substeps: int
     return theta, theta_dot
 
 
-def control_force(sensor, cfg: RotatorConfig, beta=None):
-    """Controller response to a sensor reading, with deadband `beta` (cfg.beta if None).
+def control_force(sensor, cfg: RotatorConfig, beta):
+    """Controller response to a sensor reading, with deadband `beta`.
 
     Array-safe, `beta` per lane too.  Returns (g_clamped, f): the response
     clipped to [-1, 1], and the force actually applied, which is zero whenever
@@ -165,7 +165,6 @@ def control_force(sensor, cfg: RotatorConfig, beta=None):
     the error, reduced by the deadband width and topped up by a minimum
     strength, both carrying the sign of the sensor value (sign(0) counts as +1).
     """
-    beta = cfg.beta if beta is None else beta
     error = cfg.theta_dot_target - np.asarray(sensor, dtype=np.float64)
     sign = np.where(np.asarray(sensor) >= 0, 1.0, -1.0)
     g = error - sign * beta + sign * cfg.f_min
@@ -291,25 +290,20 @@ def _cell_values(cfg: RotatorConfig, cells, runs: int) -> Iterator[dict]:
                 totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
 
 
-def cell_measures(
-    cfg: RotatorConfig,
-    eta: float,
-    beta: float,
-    runs: int,
-    eta_index: int = 0,
-    beta_index: int = 0,
-) -> dict[str, float]:
+def cell_measures(cfg: RotatorConfig, eta: float, beta: float, runs: int) -> dict[str, float]:
     """Average the intrinsic measures over `runs` episodes of one (eta, beta) cell.
 
-    Per-run seeds derive from (master seed, eta index, beta index, run index),
-    so any cell is reproducible in isolation and cells are independent.
+    A one-cell :func:`sweep`, so run r is seeded from (master seed, 0, 0, r).
     """
-    _check_grid([eta], [beta], runs, cfg)
-    return next(_cell_values(cfg, [(eta, beta, eta_index, beta_index)], runs))
+    return next(sweep([eta], [beta], runs, cfg)).values
 
 
 def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[MeasureReport]:
-    """Averaged reports over a grid checked whole up front, yielded in (eta, beta) order."""
+    """Averaged reports over a grid checked whole up front, yielded in (eta, beta) order.
+
+    Per-run seeds derive from (master seed, eta index, beta index, run index),
+    so cells are independent.
+    """
     _check_grid(eta_values, beta_values, runs_per_cell, cfg)
     cells = [(e, b, ei, bi) for ei, e in enumerate(eta_values) for bi, b in enumerate(beta_values)]
     metadata = {"runs": runs_per_cell, "seed": cfg.seed, "steps": cfg.steps}

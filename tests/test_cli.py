@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from morphocomp.cli import main
+from morphocomp.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -80,6 +80,24 @@ class TestMeasureCommand:
             "--measures", "mc_a",
         )
         assert code == 2
+
+    def test_repeated_measure_name_is_named(self, tmp_path, capsys):
+        path = self.make_uniform_series(tmp_path, n=50)
+        code = run_cli("measure", "--input", str(path), "--measures", "c_w,asoc_a,c_w")
+        assert code == 2
+        assert capsys.readouterr().err == "error: measure 'c_w' is named more than once in --measures\n"
+
+    def test_huge_sample_bins_as_the_top_of_the_range(self, tmp_path, capsys):
+        bins = ["--sensor-bins", "0:8:30", "--action-bins=-1:1:30"]
+        huge = write_series(tmp_path / "huge.csv", ["0,1e308,0.5", "1,2,"])
+        top = write_series(tmp_path / "top.csv", ["0,8,0.5", "1,2,"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("measure", "--input", str(huge), *bins) == 0
+        huge_output = capsys.readouterr()
+        assert huge_output.err == ""
+        assert run_cli("measure", "--input", str(top), *bins) == 0
+        assert huge_output.out == capsys.readouterr().out
 
     def test_bad_binner_spec(self, tmp_path, capsys):
         path = self.make_uniform_series(tmp_path, n=50)
@@ -285,6 +303,8 @@ class TestBadInputExitsTwo:
             ["measure", "--input", "{series}", "--sensor-bins=-inf:8:30"],
             ["measure", "--input", "{series}", "--sensor-bins", "0:8:30", "--sensor-size", "5"],
             ["measure", "--input", "{series}", "--action-bins=-1:1:30", "--action-size", "5"],
+            ["measure", "--input", "{series}", "--sensor-bins", "0:1e308:30"],
+            ["measure", "--input", "{series}", "--measures", "asoc_a,asoc_a"],
         ],
         ids=[
             "sweep-runs-0",
@@ -309,6 +329,8 @@ class TestBadInputExitsTwo:
             "measure-sensor-bins-low-minus-inf",
             "measure-sensor-bins-with-sensor-size",
             "measure-action-bins-with-action-size",
+            "measure-sensor-bins-overflow",
+            "measure-repeated-name",
         ],
     )
     def test_exits_two_with_error_line(self, tmp_path, capsys, argv):
@@ -372,3 +394,13 @@ class TestParserBehaviour:
             main(["--version"])
         assert exc_info.value.code == 0
         assert "morphocomp" in capsys.readouterr().out
+
+    def test_default_grids(self):
+        parser = build_parser()
+        args = parser.parse_args(["binary-sweep", "--out", "o"])
+        assert [float(v) for v in args.phi] == list(np.linspace(0.0, 5.0, 51))
+        assert [float(v) for v in args.psi] == list(np.linspace(0.0, 5.0, 51))
+        assert [float(v) for v in args.mu] == [0.0, 1.0, 20.0]
+        args = parser.parse_args(["rotator", "sweep", "--out", "o"])
+        assert args.eta_grid == [round(0.025 * i, 3) for i in range(21)]
+        assert args.beta_grid == [round(0.01 * i, 2) for i in range(201)]

@@ -100,8 +100,9 @@ class TestBinner:
             (math.nan, 1.0, "bounds must be finite"),
             (0.0, math.nan, "bounds must be finite"),
             (-1e308, 1e308, "width of .* overflows"),
+            (0.0, 1e308, r"width of \[0.0, 1e\+308\] x 30 bins overflows"),
         ],
-        ids=["high-inf", "low-minus-inf", "low-nan", "high-nan", "width-overflows"],
+        ids=["high-inf", "low-minus-inf", "low-nan", "high-nan", "width-overflows", "bins-overflow"],
     )
     def test_non_finite_bounds_rejected(self, low, high, message):
         with pytest.raises(ValueError, match=message):
@@ -117,6 +118,23 @@ class TestBinner:
         binner = Binner(-10.0, 10.0, bins)
         lo, hi = min(a, b), max(a, b)
         assert binner.index(lo) <= binner.index(hi)
+
+    def test_huge_samples_clamp_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = Binner(0.0, 8.0, 30).index(np.array([1e308, -1e308, 2.0]))
+        np.testing.assert_array_equal(idx, [29, 0, 7])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_in_range_samples_keep_their_bins(self, data):
+        finite = st.floats(-1e300, 1e300)
+        low, high = sorted(data.draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+        bins = data.draw(st.integers(1, 1000))
+        samples = np.array(data.draw(st.lists(st.floats(low, high), min_size=1, max_size=20)))
+        # the formula before samples were clipped, which holds inside [low, high]
+        oracle = np.clip(np.floor(bins * (samples - low) / (high - low)), 0, bins - 1)
+        np.testing.assert_array_equal(Binner(low, high, bins).index(samples), oracle)
 
 
 class TestSymbolSeries:
@@ -214,7 +232,9 @@ class TestJointFromModel:
     def test_uniform_model_gives_uniform_joint(self):
         s, a = Alphabet(2), Alphabet(2)
         model = IntrinsicModel(
-            Distribution.uniform(s), Kernel2.uniform(s, a), Kernel3.uniform(s, a, s)
+            Distribution(s, np.full(2, 0.5)),
+            Kernel2(s, a, np.full((2, 2), 0.5)),
+            Kernel3(s, a, s, np.full((2, 2, 2), 0.5)),
         )
         np.testing.assert_allclose(joint_from_model(model).probs, 1 / 8)
 
@@ -222,7 +242,7 @@ class TestJointFromModel:
         s = Alphabet(2)
         model = IntrinsicModel(
             Distribution(s, [0.5, 0.5]),
-            Kernel2.deterministic(s, s, [0, 1]),
+            Kernel2(s, s, np.eye(2)),
             Kernel3(
                 s, s, s,
                 np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]),
@@ -333,6 +353,22 @@ class TestCsv:
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n1,{'1' * 200_000},0\n2,1,\n")
         with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
             read_symbol_series(path)
+
+
+    @pytest.mark.parametrize(
+        "rows_before, newline", [(0, "\n"), (200_000, "\r\n")], ids=["line-2", "past-first-scan-chunk"]
+    )
+    def test_invalid_utf8_names_its_line(self, tmp_path, capsys, rows_before, newline):
+        body = "".join(f"{t},1,0{newline}" for t in range(rows_before))
+        assert rows_before == 0 or len(body) > estimation.SCAN_CHUNK
+        path = tmp_path / "series.csv"
+        path.write_bytes(f"t,s,a{newline}{body}".encode() + b"0,\xff1,0\n1,2,\n")
+        message = f"{path}:{rows_before + 2}: not valid UTF-8"
+        with pytest.raises(DataError) as exc_info:
+            read_symbol_series(path)
+        assert str(exc_info.value) == message
+        assert main(["measure", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 SENSOR_BINNER = Binner(0.0, 8.0, 30)

@@ -148,7 +148,7 @@ class TestConceptMeasuresAgainstBruteForce:
         for n in (2, 3, 4):
             states = Alphabet(n)
             mapping = rng.permutation(n)
-            policy = Kernel2.deterministic(states, states, mapping)
+            policy = Kernel2(states, states, np.eye(n)[mapping])
             prior = random_distribution(rng, states)
             kernel = random_kernel3(rng, states, states, states)
             probs = prior.probs[:, None, None] * policy.rows[:, :, None] * kernel.entries
@@ -173,7 +173,7 @@ class TestInterventionalKernels:
     def test_do_a_with_point_prior(self, rng):
         s, a = Alphabet(3), Alphabet(2)
         world = random_kernel3(rng, s, a, s)
-        model = IntrinsicModel(Distribution.point(s, 1), random_kernel2(rng, s, a), world)
+        model = IntrinsicModel(Distribution(s, np.eye(3)[1]), random_kernel2(rng, s, a), world)
         np.testing.assert_allclose(do_a(model).rows, world.entries[1], atol=1e-15)
 
     def test_do_s_mixture_identity(self, rng):
@@ -193,7 +193,7 @@ class TestInterventionalKernels:
         s, a = Alphabet(3), Alphabet(3)
         model = IntrinsicModel(
             random_distribution(rng, s),
-            Kernel2.uniform(s, a),
+            Kernel2(s, a, np.full((3, 3), 1 / 3)),
             random_kernel3(rng, s, a, s),
         )
         np.testing.assert_allclose(
@@ -204,11 +204,11 @@ class TestInterventionalKernels:
 class TestCif:
     def test_identical_rows_give_zero(self):
         kernel = Kernel2(B, B, [[0.3, 0.7], [0.3, 0.7]])
-        assert cif(kernel, Distribution.uniform(B)) == 0.0
+        assert cif(kernel, Distribution(B, np.full(2, 0.5))) == 0.0
 
     def test_identity_kernel_uniform_prior(self):
-        kernel = Kernel2.deterministic(B, B, [0, 1])
-        assert cif(kernel, Distribution.uniform(B)) == pytest.approx(math.log(2), abs=1e-15)
+        kernel = Kernel2(B, B, np.eye(2))
+        assert cif(kernel, Distribution(B, np.full(2, 0.5))) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_matches_brute_force(self, rng):
         for _ in range(30):
@@ -270,8 +270,8 @@ class TestCausalDeliberativeMeasure:
 
     def test_matched_kernels_give_one(self):
         ctrl = Alphabet(2)
-        prior = Distribution.uniform(ctrl)
-        policy = Kernel2.deterministic(ctrl, ctrl, [0, 1])
+        prior = Distribution(ctrl, np.full(2, 0.5))
+        policy = Kernel2(ctrl, ctrl, np.eye(2))
         rows = Kernel2(ctrl, B, [[0.8, 0.2], [0.3, 0.7]])
         assert c_a_deliberative(prior, policy, rows, rows) == pytest.approx(1.0, abs=1e-15)
 
@@ -295,10 +295,10 @@ class TestCausalDeliberativeMeasure:
 
     def test_support_violation(self):
         ctrl = Alphabet(2)
-        prior = Distribution.uniform(ctrl)
-        policy = Kernel2.uniform(ctrl, ctrl)
-        rows_c = Kernel2.deterministic(ctrl, B, [0, 1])
-        rows_a = Kernel2.uniform(ctrl, B)
+        prior = Distribution(ctrl, np.full(2, 0.5))
+        policy = Kernel2(ctrl, ctrl, np.full((2, 2), 0.5))
+        rows_c = Kernel2(ctrl, B, np.eye(2))
+        rows_a = Kernel2(ctrl, B, np.full((2, 2), 0.5))
         with pytest.raises(SupportError):
             c_a_deliberative(prior, policy, rows_c, rows_a)
 
@@ -340,7 +340,7 @@ class TestConditionalIndependenceMeasure:
         model_args = (
             Distribution(s, [1.0, 0.0]),
             Kernel2(s, s, [[1.0, 0.0], [0.0, 1.0]]),
-            Kernel3.uniform(s, s, s),
+            Kernel3(s, s, s, np.full((2, 2, 2), 0.5)),
         )
         with pytest.raises(SupportError):
             c_w(IntrinsicModel(*model_args))

@@ -98,7 +98,7 @@ class TestController:
     def test_spin_up_from_rest(self):
         # sensor zero: response is the full error plus the minimum strength,
         # clamped and scaled to the maximum force
-        g_clamped, f = control_force(0.0, RotatorConfig(beta=0.0))
+        g_clamped, f = control_force(0.0, RotatorConfig(), beta=0.0)
         assert g_clamped == 1.0
         assert f == 10.0
 
@@ -106,27 +106,27 @@ class TestController:
         # sensor 5.6, deadband 0.5: error 0.683 exceeds the deadband, so
         # g = 0.683 - 0.5 + 0.25 and the force is ten times that
         cfg = RotatorConfig(beta=0.5)
-        g_clamped, f = control_force(5.6, cfg)
+        g_clamped, f = control_force(5.6, cfg, cfg.beta)
         expected_g = (2 * math.pi - 5.6) - 0.5 + 0.25
         assert g_clamped == pytest.approx(expected_g)
         assert f == pytest.approx(expected_g * 10.0)
 
     def test_deadband_silences_output(self):
         cfg = RotatorConfig(beta=2.0)
-        _, f = control_force(2 * math.pi - 1.0, cfg)
+        _, f = control_force(2 * math.pi - 1.0, cfg, cfg.beta)
         assert f == 0.0
 
     def test_deadband_boundary_is_active(self):
         cfg = RotatorConfig(beta=2.0)
-        _, f = control_force(2 * math.pi - 2.0, cfg)
+        _, f = control_force(2 * math.pi - 2.0, cfg, cfg.beta)
         assert f != 0.0
 
     def test_zero_sensor_counts_as_positive(self):
         # a small target keeps the response inside the clamp, exposing the
         # sign convention at exactly zero
         cfg = RotatorConfig(beta=1.0, theta_dot_target=1.5)
-        g_zero, _ = control_force(0.0, cfg)
-        g_neg, _ = control_force(-1e-12, cfg)
+        g_zero, _ = control_force(0.0, cfg, cfg.beta)
+        g_neg, _ = control_force(-1e-12, cfg, cfg.beta)
         assert g_zero == pytest.approx(1.5 - 1.0 + 0.25, abs=1e-9)
         assert g_neg == pytest.approx(1.0, abs=1e-9)  # sign flip saturates the clamp
 
@@ -139,7 +139,7 @@ class TestController:
         assert np.abs(sensors - velocities).max() <= 0.25 * cfg.theta_dot_target
         again = _simulate_batch(cfg, [np.random.SeedSequence(3)])
         np.testing.assert_array_equal(sensors, again[1])
-        g_direct, f_direct = control_force(sensors[:, :-1], cfg)
+        g_direct, f_direct = control_force(sensors[:, :-1], cfg, cfg.beta)
         np.testing.assert_array_equal(g_clamped, g_direct)
         np.testing.assert_array_equal(forces, f_direct)
 
@@ -147,7 +147,7 @@ class TestController:
         cfg = RotatorConfig(eta=0.0, beta=0.5, steps=50)
         velocities, sensors, _, forces = _simulate_batch(cfg, [np.random.SeedSequence(0)])
         np.testing.assert_array_equal(sensors, velocities)
-        _, f_direct = control_force(velocities[:, :-1], cfg)
+        _, f_direct = control_force(velocities[:, :-1], cfg, cfg.beta)
         np.testing.assert_array_equal(forces, f_direct)
 
 
@@ -397,9 +397,30 @@ class TestSweepEqualsCells:
 
     def test_cell_measures_is_a_one_cell_sweep(self):
         cfg = RotatorConfig(steps=50, seed=4)
-        values = rotator.cell_measures(cfg, 0.3, 1.0, runs=2, eta_index=1, beta_index=0)
-        (report,) = [r for r in sweep([0.0, 0.3], [1.0], 2, cfg) if r.metadata["eta"] == 0.3]
+        values = rotator.cell_measures(cfg, 0.3, 1.0, runs=2)
+        (report,) = sweep([0.3], [1.0], 2, cfg)
         assert row_bits(MeasureReport(values, report.metadata)) == row_bits(report)
+
+    @pytest.mark.parametrize(
+        "eta, beta, expected",
+        [
+            (0.0, 2.0, {
+                "asoc_a": "0x1.e792b60f0cc23p-1",
+                "asoc_w": "0x1.563d028e76f8dp-2",
+                "c_a": "0x1.fd47f38ab5b51p-1",
+                "c_w": "0x1.2e85b822f245fp-2",
+            }),
+            (0.5, 0.0, {
+                "asoc_a": "0x1.de4593bee2decp-1",
+                "asoc_w": "0x1.69c6f4b8777ecp-2",
+                "c_a": "0x1.f96cbdc2ab477p-1",
+                "c_w": "0x1.183e0fa0edee9p-2",
+            }),
+        ],
+    )
+    def test_cell_measures_bits_are_pinned(self, eta, beta, expected):
+        values = rotator.cell_measures(RotatorConfig(steps=200, seed=3), eta, beta, runs=3)
+        assert {name: value.hex() for name, value in values.items()} == expected
 
     def test_lane_does_not_depend_on_its_neighbours(self):
         cfg = RotatorConfig(steps=200)

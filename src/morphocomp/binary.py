@@ -22,16 +22,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .measures import (
-    ConsistencyError,
-    MeasureReport,
-    action_effect,
-    intrinsic_values,
-    world_effect,
-)
+from .measures import MeasureReport, action_effect, intrinsic_values, world_effect
 from .prob import (
-    InvalidDistributionError,
-    SupportError,
+    ComputeError,
     chain_arrays,
     check_probs,
     compose_arrays,
@@ -50,9 +43,6 @@ STRICT = 20.0
 # of arrays and reports at a time and runs near the speed of one pass over
 # all 7,803 points of the default grid, which would hold about 9 MB.
 SWEEP_CHUNK = 1024
-
-# What a grid point's evaluation raises on a degenerate loop.
-POINT_ERRORS = (InvalidDistributionError, SupportError, ConsistencyError)
 
 
 def _check_params(phi, psi, zeta, mu, tau) -> None:
@@ -123,30 +113,20 @@ def _reports(phi, psi, mu, zeta: float, tau: float) -> list[MeasureReport]:
     values = {"mc_a": action_effect(joint), "mc_w": world_effect(joint)}
     values.update(intrinsic_values(*intrinsic_model_arrays(*maps)))
     columns = {name: value.tolist() for name, value in values.items()}
-    return [
-        MeasureReport(
-            {name: column[i] for name, column in columns.items()},
-            metadata={"phi": p, "psi": s, "mu": m, "zeta": zeta, "tau": tau},
-        )
-        for i, (p, s, m) in enumerate(zip(phi.tolist(), psi.tolist(), mu.tolist()))
-    ]
+    reports = []
+    for i, (p, s, m) in enumerate(zip(phi.tolist(), psi.tolist(), mu.tolist())):
+        metadata = {"phi": p, "psi": s, "mu": m, "zeta": zeta, "tau": tau}
+        try:
+            reports.append(MeasureReport({n: c[i] for n, c in columns.items()}, metadata))
+        except ComputeError as exc:
+            exc.batch = i
+            raise
+    return reports
 
 
 def point_measures(phi: float, psi: float, mu: float, zeta: float, tau: float) -> MeasureReport:
-    """All six swept measures at one parameter point, evaluated exactly."""
-    _check_params(phi, psi, zeta, mu, tau)
-    phi, psi, mu = (np.array([v], dtype=np.float64) for v in (phi, psi, mu))
-    return _reports(phi, psi, mu, float(zeta), float(tau))[0]
-
-
-def _raise_first_failure(phi, psi, mu, zeta: float, tau: float) -> None:
-    """Evaluate the points one at a time; the first that fails raises, named."""
-    for p, s, m in zip(phi.tolist(), psi.tolist(), mu.tolist()):
-        try:
-            point_measures(p, s, m, zeta, tau)
-        except POINT_ERRORS as exc:
-            exc.args = (f"phi={p:g}, psi={s:g}, mu={m:g}: {exc}", *exc.args[1:])
-            raise
+    """All six swept measures at one parameter point, evaluated exactly: a one-point sweep."""
+    return next(sweep([phi], [psi], [mu], zeta, tau))
 
 
 def sweep(
@@ -160,8 +140,9 @@ def sweep(
 
     The grid is checked whole up front.  Its points are then evaluated
     :data:`SWEEP_CHUNK` at a time in array passes, and the reports are
-    yielded chunk by chunk.  A failing chunk's error names its first
-    failing point.
+    yielded chunk by chunk.  A failing chunk's error names the first point,
+    in grid order, that fails the first check to fail in its array pass;
+    another point may fail a later check too.
     """
     axes = [np.array(tuple(values), dtype=np.float64) for values in (phi_values, psi_values, mu_values)]
     if not all(axis.size for axis in axes):
@@ -178,7 +159,8 @@ def _sweep_chunks(axes, zeta: float, tau: float) -> Iterator[MeasureReport]:
         phi, psi, mu = axes[0][i], axes[1][j], axes[2][k]
         try:
             reports = _reports(phi, psi, mu, zeta, tau)
-        except POINT_ERRORS:
-            _raise_first_failure(phi, psi, mu, zeta, tau)
+        except ComputeError as exc:
+            b = exc.batch
+            exc.args = (f"phi={phi[b]:g}, psi={psi[b]:g}, mu={mu[b]:g}: {exc}", *exc.args[1:])
             raise
         yield from reports

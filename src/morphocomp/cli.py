@@ -9,7 +9,7 @@ Commands:
 Every invocation that writes files also writes a manifest.json capturing the
 resolved configuration, seed and tool version, sufficient to regenerate the
 outputs bit-identically.  Exit codes: 0 success, 2 usage or parse error,
-3 numerical or consistency error.
+3 numerical or consistency error (a ``prob.ComputeError``).
 """
 
 from __future__ import annotations
@@ -19,25 +19,16 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__, binary, rotator
 from .estimation import Binner, estimate, read_symbol_series
-from .measures import (
-    INTRINSIC_MEASURES,
-    ConsistencyError,
-    MeasureReport,
-    intrinsic_measures,
-)
-from .prob import (
-    DegenerateAlphabetError,
-    DimensionError,
-    InvalidDistributionError,
-    SupportError,
-)
-from .rotator import NumericalError, RotatorConfig
+from .measures import INTRINSIC_MEASURES, MeasureReport, intrinsic_measures
+from .prob import ComputeError
+from .rotator import RotatorConfig
 
 BINARY_SWEEP_COLUMNS = ("phi", "psi", "mu", "mc_a", "mc_w", "asoc_a", "asoc_w", "c_a", "c_w")
 ROTATOR_SWEEP_COLUMNS = ("eta", "beta", "asoc_a", "c_a", "asoc_w", "c_w", "runs")
@@ -57,7 +48,7 @@ def _parse_binner(text: str) -> Binner:
         raise UsageError(f"binner spec {text!r} must be LOW:HIGH:BINS")
     try:
         return Binner(float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad binner spec {text!r}: {exc}") from None
 
 
@@ -140,6 +131,17 @@ def cmd_measure(args) -> int:
             )
         if names.count(name) > 1:
             raise UsageError(f"measure {name!r} is named more than once in --measures")
+    needed = 8 * s_alph.size**2 * a_alph.size
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        s_from, a_from = (
+            f"--{c}-bins" if vars(args)[f"{c}_bins"] else f"--{c}-size" if vars(args)[f"{c}_size"]
+            else f"inferred from column {c[0]}" for c in ("sensor", "action")
+        )
+        raise UsageError(
+            f"a {s_alph.size} x {a_alph.size} x {s_alph.size} model (|S|: {s_from}; |A|: {a_from}) "
+            f"needs {needed} bytes of float64, more than the {memory} bytes of physical memory"
+        )
     model = estimate(series, s_alph, a_alph)
     report = MeasureReport(
         intrinsic_measures(model, names),
@@ -348,15 +350,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # the prob errors are ValueErrors too, so this clause must come first
-    except (
-        ConsistencyError,
-        NumericalError,
-        SupportError,
-        DimensionError,
-        InvalidDistributionError,
-        DegenerateAlphabetError,
-    ) as exc:
+    # most ComputeErrors are ValueErrors too, so this clause must come first
+    except ComputeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     # DataError, UsageError and the range checks of the configs and sweeps

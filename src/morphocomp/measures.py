@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prob import (
+    ComputeError,
     DimensionError,
     Distribution,
     Joint3,
@@ -60,7 +61,7 @@ RANGE_TOL = 1e-9
 DUAL_FORM_TOL = 1e-9
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(ComputeError, RuntimeError):
     """Two quantities that must agree by construction do not."""
 
 
@@ -247,7 +248,8 @@ def _c_a(prior: np.ndarray, policy: np.ndarray, world: np.ndarray) -> np.ndarray
         b = int(np.argmax(disagree))
         raise ConsistencyError(
             f"causal-measure forms disagree: flow {float(flow_form[b])!r} "
-            f"vs kl {float(kl_form[b])!r}"
+            f"vs kl {float(kl_form[b])!r}",
+            batch=b,
         )
     return kl_form
 
@@ -329,7 +331,8 @@ def _c_w(prior: np.ndarray, policy: np.ndarray, world: np.ndarray) -> np.ndarray
     if (row_dev > RANGE_TOL).any():
         b = int(np.argmax((row_dev > RANGE_TOL).any(axis=1)))
         raise ConsistencyError(
-            f"severed world model rows sum to 1 +/- {row_dev[b].max():.3e}"
+            f"severed world model rows sum to 1 +/- {row_dev[b].max():.3e}",
+            batch=b,
         )
 
     weights = prior[:, :, None] * p_next_given_s

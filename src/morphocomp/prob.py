@@ -17,7 +17,9 @@ p > 0 against q = 0 is reported as a :class:`SupportError` instead of
 silently returning infinity.  Every divergence and conditional mutual
 information in the package takes its logarithm in :func:`log_ratio_sum`,
 which skips the zero terms, and reports a support violation through
-:func:`raise_first`.
+:func:`raise_first`.  That fault and every other numerical one raised in
+the package is a :class:`ComputeError`, which names the table at fault in
+a stack.
 """
 
 from __future__ import annotations
@@ -34,33 +36,39 @@ SUM_EXACT_TOL = 1e-12
 SUM_REJECT_TOL = 1e-9
 
 
-class DimensionError(ValueError):
+class ComputeError(Exception):
+    """A numerical fault; `index` is the entry and `batch` the stacked table at fault, or None."""
+
+    def __init__(self, message: str, index=None, batch=None):
+        super().__init__(message)
+        self.index, self.batch = index, batch
+
+
+class DimensionError(ComputeError, ValueError):
     """Alphabets or array shapes of the operands do not line up."""
 
 
-class InvalidDistributionError(ValueError):
+class InvalidDistributionError(ComputeError, ValueError):
     """Negative or non-finite entries, or a (row) sum too far from one."""
 
 
-class DegenerateAlphabetError(ValueError):
+class DegenerateAlphabetError(ComputeError, ValueError):
     """A normaliser ln|alphabet| would be zero (single-symbol alphabet)."""
 
 
-class SupportError(ValueError):
+class SupportError(ComputeError, ValueError):
     """q has zero mass where p is positive; carries the offending index."""
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 def _normalized(arr: np.ndarray, axis, name: str) -> np.ndarray:
     sums = arr.sum(axis=axis, keepdims=True)
     dev = np.abs(sums - 1.0)
     if (dev > SUM_REJECT_TOL).any():
-        raise InvalidDistributionError(
+        raise_first(
+            dev > SUM_REJECT_TOL,
             f"{name} sums deviate from 1 by up to {dev.max():.3e} "
-            f"(reject threshold {SUM_REJECT_TOL:.0e})"
+            f"(reject threshold {SUM_REJECT_TOL:.0e})",
+            InvalidDistributionError,
         )
     if (dev > SUM_EXACT_TOL).any():
         # fix only the rows that actually drifted
@@ -77,9 +85,10 @@ def check_probs(arr: np.ndarray, name: str, whole: bool = False) -> np.ndarray:
     renormalised where it drifted.
     """
     if not np.isfinite(arr).all():
-        raise InvalidDistributionError(f"{name} contains non-finite entries")
+        message = f"{name} contains non-finite entries"
+        raise_first(~np.isfinite(arr), message, InvalidDistributionError)
     if (arr < 0).any():
-        raise InvalidDistributionError(f"{name} contains negative entries")
+        raise_first(arr < 0, f"{name} contains negative entries", InvalidDistributionError)
     axis = tuple(range(1, arr.ndim)) if whole else -1
     return _normalized(arr, axis=axis, name=name)
 
@@ -96,16 +105,18 @@ def log_ratio_sum(weights, num, den, where, axis) -> np.ndarray:
     return np.sum(weights * np.log(ratio), axis=axis, where=where)
 
 
-def raise_first(mask: np.ndarray, message: str) -> None:
-    """Raise :class:`SupportError` at the first true entry of a stacked mask, if any.
+def raise_first(mask: np.ndarray, message: str, error=SupportError) -> None:
+    """Raise `error` at the first true entry of a stacked mask, if any.
 
-    The index leaves out the leading batch axis and is an int when one axis
-    remains; `message` is formatted with it as ``{index}``.
+    The error's `batch` is the entry's leading-axis index.  Its `index` leaves
+    out the batch axis and is an int when one axis remains; `message` is
+    formatted with it as ``{index}``.
     """
     if mask.any():
-        index = tuple(int(i) for i in np.argwhere(mask)[0][1:])
+        first = np.argwhere(mask)[0]
+        index = tuple(int(i) for i in first[1:])
         index = index[0] if len(index) == 1 else index
-        raise SupportError(message.format(index=index), index=index)
+        raise error(message.format(index=index), index=index, batch=int(first[0]))
 
 
 def _validate(obj, field: str, shape: tuple, name: str, whole: bool = False) -> None:

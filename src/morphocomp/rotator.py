@@ -31,7 +31,7 @@ import numpy as np
 
 from .estimation import Binner, DataError, SymbolSeries, estimate
 from .measures import INTRINSIC_MEASURES, MeasureReport, intrinsic_measures
-from .prob import Alphabet
+from .prob import Alphabet, ComputeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,7 +48,7 @@ SWEEP_CHUNK = 1024
 _INT_FIELDS = {"steps", "seed"}
 
 
-class NumericalError(FloatingPointError):
+class NumericalError(ComputeError, FloatingPointError):
     """Integration produced a non-finite state."""
 
 
@@ -139,10 +139,10 @@ def _acceleration(theta, theta_dot, f, cfg: RotatorConfig):
     return (f - cfg.friction * l * theta_dot - m * g * np.sin(theta)) / (m * l)
 
 
-def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float, substeps: int = RK4_SUBSTEPS):
+def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float):
     """Advance (theta, theta_dot) by dt under constant force f.  Array-safe."""
-    h = dt / substeps
-    for _ in range(substeps):
+    h = dt / RK4_SUBSTEPS
+    for _ in range(RK4_SUBSTEPS):
         k1v = _acceleration(theta, theta_dot, f, cfg)
         k1x = theta_dot
         k2v = _acceleration(theta + 0.5 * h * k1x, theta_dot + 0.5 * h * k1v, f, cfg)

@@ -13,7 +13,7 @@ from morphocomp.binary import (
     sweep,
     world_joint_arrays,
 )
-from morphocomp.measures import mc_a, mc_w
+from morphocomp.measures import ConsistencyError, mc_a, mc_w
 from morphocomp.prob import Alphabet, Joint3, SupportError
 
 B = Alphabet(2)
@@ -187,6 +187,24 @@ class TestMeasureSurfaces:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep((), (0.0,), (0.0,))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    def test_out_of_range_value_names_its_point(self, monkeypatch, chunk):
+        # only phi = 3, the fourth point, reports an mc_a above one
+        def kernel_arrays(phi, *rest):
+            chunk_phi[:] = [np.asarray(phi)]
+            return original_kernels(phi, *rest)
+
+        def action_effect(joint):
+            return np.where(chunk_phi[0] == 3.0, 2.0, original(joint))
+
+        chunk_phi = [None]
+        original, original_kernels = binary.action_effect, binary.kernel_arrays
+        monkeypatch.setattr(binary, "kernel_arrays", kernel_arrays)
+        monkeypatch.setattr(binary, "action_effect", action_effect)
+        monkeypatch.setattr(binary, "SWEEP_CHUNK", chunk)
+        with pytest.raises(ConsistencyError, match=r"^phi=3, psi=0, mu=0: measure mc_a = 2.0 "):
+            list(sweep((0, 1, 2, 3, 4), (0,), (0,)))
 
 
 def row_bits(report):

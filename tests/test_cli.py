@@ -5,7 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from morphocomp import binary, cli
 from morphocomp.cli import build_parser, main
+from morphocomp.measures import ConsistencyError
+from morphocomp.prob import (
+    ComputeError,
+    DegenerateAlphabetError,
+    DimensionError,
+    InvalidDistributionError,
+    SupportError,
+)
+from morphocomp.rotator import NumericalError
 
 
 def run_cli(*argv):
@@ -305,6 +315,11 @@ class TestBadInputExitsTwo:
             ["measure", "--input", "{series}", "--action-bins=-1:1:30", "--action-size", "5"],
             ["measure", "--input", "{series}", "--sensor-bins", "0:1e308:30"],
             ["measure", "--input", "{series}", "--measures", "asoc_a,asoc_a"],
+            ["measure", "--input", "{series}", "--sensor-bins", "0:1:100000000000"],
+            ["measure", "--input", "{series}", "--sensor-bins", "0:1:" + "9" * 401],
+            ["measure", "--input", "{series}", "--sensor-size", "100000000000"],
+            ["measure", "--input", "{huge}"],
+            ["measure", "--input", "{series}", "--sensor-bins", "0:1:3000", "--action-bins=-1:1:3000"],
         ],
         ids=[
             "sweep-runs-0",
@@ -331,13 +346,20 @@ class TestBadInputExitsTwo:
             "measure-action-bins-with-action-size",
             "measure-sensor-bins-overflow",
             "measure-repeated-name",
+            "measure-sensor-bins-1e11",
+            "measure-sensor-bins-401-digits",
+            "measure-sensor-size-1e11",
+            "measure-inferred-sensor-size-1e11",
+            "measure-bins-3000-each",
         ],
     )
     def test_exits_two_with_error_line(self, tmp_path, capsys, argv):
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         empty = write_series(tmp_path / "empty.csv", ["0,0,"])
+        huge = write_series(tmp_path / "huge.csv", ["0,100000000000,0", "1,0,1", "2,1,"])
         argv = [
-            a.format(out=tmp_path / "out", series=series, empty=empty, tmp=tmp_path) for a in argv
+            a.format(out=tmp_path / "out", series=series, empty=empty, huge=huge, tmp=tmp_path)
+            for a in argv
         ]
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
@@ -375,12 +397,93 @@ class TestBadInputExitsTwo:
             f"error: bad binner spec {spec!r}: binner bounds must be finite, got {bounds}\n"
         )
 
+    @pytest.mark.parametrize(
+        "rows, flags, table",
+        [
+            (["0,0,1", "1,2,0", "2,1,"], ["--sensor-bins", "0:1:3000", "--action-bins=-1:1:3000"],
+             "3000 x 3000 x 3000 model (|S|: --sensor-bins; |A|: --action-bins) needs 216000000000"),
+            (["0,0,1", "1,2,0", "2,1,"], ["--action-size", "100000000000"],
+             "3 x 100000000000 x 3 model (|S|: inferred from column s; |A|: --action-size) "
+             "needs 7200000000000"),
+            (["0,100000000000,0", "1,0,1", "2,1,"], ["--action-size", "2"],
+             "100000000001 x 2 x 100000000001 model (|S|: inferred from column s; "
+             "|A|: --action-size) needs 160000000003200000000016"),
+        ],
+        ids=["both-bins", "action-size", "inferred-sensor"],
+    )
+    def test_model_beyond_memory_names_its_sizes_and_bytes(self, tmp_path, capsys, rows, flags, table):
+        series = write_series(tmp_path / "series.csv", rows)
+        assert run_cli("measure", "--input", str(series), *flags) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"error: a {table} bytes of float64, more than the ")
+        assert error.endswith(" bytes of physical memory")
+
+    def test_model_within_memory_reaches_the_estimator(self, tmp_path, capsys, monkeypatch):
+        # a 5,001-symbol inferred alphabet needs 400 MB, well within memory
+        series = write_series(tmp_path / "series.csv", ["0,5000,1", "1,0,0", "2,1,"])
+
+        def estimate(series, s_alph, a_alph):
+            raise ConsistencyError(f"reached with {s_alph.size} x {a_alph.size}")
+
+        monkeypatch.setattr(cli, "estimate", estimate)
+        assert run_cli("measure", "--input", str(series)) == 3
+        assert capsys.readouterr().err == "error: reached with 5001 x 2\n"
+
     def test_config_file_with_nan_exits_two(self, tmp_path, capsys):
         config = tmp_path / "rotator.cfg"
         config.write_text("version = 1\nbeta = nan\n")
         code = run_cli("rotator", "run", "--config", str(config), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "beta must be finite" in capsys.readouterr().err
+
+
+COMPUTE_ERRORS = [
+    (DimensionError, ValueError),
+    (InvalidDistributionError, ValueError),
+    (DegenerateAlphabetError, ValueError),
+    (SupportError, ValueError),
+    (ConsistencyError, RuntimeError),
+    (NumericalError, FloatingPointError),
+]
+
+
+class TestComputeErrorExitsThree:
+    """Every numerical fault is a prob.ComputeError, and main maps it to exit 3."""
+
+    @pytest.mark.parametrize("error, builtin", COMPUTE_ERRORS, ids=lambda c: c.__name__)
+    def test_fault_class_keeps_its_builtin_base(self, error, builtin):
+        assert issubclass(error, ComputeError)
+        assert issubclass(error, builtin)
+        fault = error("fault", index=(1, 0), batch=3)
+        assert (str(fault), fault.index, fault.batch) == ("fault", (1, 0), 3)
+        assert error("fault").batch is None
+
+    @pytest.mark.parametrize("error, builtin", COMPUTE_ERRORS, ids=lambda c: c.__name__)
+    def test_main_exits_three(self, tmp_path, capsys, monkeypatch, error, builtin):
+        def cmd_measure(args):
+            raise error("table at fault")
+
+        monkeypatch.setattr(cli, "cmd_measure", cmd_measure)
+        assert run_cli("measure", "--input", str(tmp_path / "series.csv")) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == "error: table at fault"
+
+    def test_sweep_names_a_failing_point_past_the_first(self, tmp_path, capsys, monkeypatch):
+        # of the five points only phi = 3, the fourth, gets a NaN in its prior
+        def kernel_arrays(phi, psi, zeta, mu, tau):
+            alpha, beta, pi, p_w = original(phi, psi, zeta, mu, tau)
+            p_w[np.asarray(phi) == 3.0, 0] = np.nan
+            return alpha, beta, pi, p_w
+
+        original = binary.kernel_arrays
+        monkeypatch.setattr(binary, "kernel_arrays", kernel_arrays)
+        for chunk in (1, 3, 1024):
+            monkeypatch.setattr(binary, "SWEEP_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            argv = ["binary-sweep", "--phi", "0", "1", "2", "3", "4", "--psi", "0", "--mu", "0"]
+            assert run_cli(*argv, "--out", str(out)) == 3
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert error == "error: phi=3, psi=0, mu=0: joint contains non-finite entries"
+            assert not (out / "binary_sweep.csv").exists()
 
 
 class TestParserBehaviour:

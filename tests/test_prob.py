@@ -11,6 +11,7 @@ from conftest import random_distribution, random_joint
 from morphocomp import prob
 from morphocomp.prob import (
     Alphabet,
+    ComputeError,
     DimensionError,
     Distribution,
     InvalidDistributionError,
@@ -18,6 +19,7 @@ from morphocomp.prob import (
     Kernel2,
     Kernel3,
     SupportError,
+    check_probs,
     compose_joint,
     conditional_mutual_information,
     kl,
@@ -219,6 +221,50 @@ class TestRaiseFirst:
         with pytest.raises(SupportError, match=r"^at \(1, 0\)$") as exc_info:
             raise_first(mask, "at {index}")
         assert exc_info.value.index == (1, 0)
+
+    def test_batch_names_the_table_at_fault(self):
+        mask = np.zeros((4, 2, 3), dtype=bool)
+        mask[2, 1, 2] = mask[2, 0, 1] = True
+        with pytest.raises(SupportError, match=r"^at \(0, 1\)$") as exc_info:
+            raise_first(mask, "at {index}")
+        assert exc_info.value.batch == 2
+        assert exc_info.value.index == (0, 1)
+
+    def test_error_class_is_chosen_by_the_caller(self):
+        with pytest.raises(InvalidDistributionError) as exc_info:
+            raise_first(np.array([[False], [True]]), "bad", InvalidDistributionError)
+        assert isinstance(exc_info.value, ComputeError)
+        assert exc_info.value.batch == 1
+
+
+class TestCheckProbsNamesTheTable:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "kernel contains non-finite entries"),
+            (-0.5, "kernel contains negative entries"),
+            (0.9, "kernel sums deviate from 1 by up to"),
+        ],
+        ids=["non-finite", "negative", "sum"],
+    )
+    def test_batch_is_the_faulty_table(self, bad, message):
+        stack = np.full((4, 3, 2), 0.5)
+        stack[2, 1, 0] = bad
+        with pytest.raises(InvalidDistributionError, match=f"^{message}") as exc_info:
+            check_probs(stack, "kernel")
+        assert exc_info.value.batch == 2
+
+    def test_whole_table_sum_names_its_table(self):
+        stack = np.full((3, 2, 2), 0.25)
+        stack[1] *= 1.1
+        with pytest.raises(InvalidDistributionError) as exc_info:
+            check_probs(stack, "joint", whole=True)
+        assert exc_info.value.batch == 1
+
+    def test_objects_report_a_batch_of_one(self):
+        with pytest.raises(InvalidDistributionError) as exc_info:
+            Distribution(B, [np.nan, 1.0])
+        assert exc_info.value.batch == 0
 
 
 class TestConditionalMutualInformation:

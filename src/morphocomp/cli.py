@@ -8,8 +8,8 @@ Commands:
 
 Every invocation that writes files also writes a manifest.json capturing the
 resolved configuration, seed and tool version, sufficient to regenerate the
-outputs bit-identically.  Exit codes: 0 success, 2 usage or parse error,
-3 numerical or consistency error (a ``prob.ComputeError``).
+outputs bit-identically.  Exit codes: 0 success, 2 usage or parse error or
+out of memory, 3 numerical or consistency error (a ``prob.ComputeError``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ ROTATOR_SWEEP_COLUMNS = ("eta", "beta", "asoc_a", "c_a", "asoc_w", "c_w", "runs"
 # documented parameter ranges; exceeding them warns but still runs
 ETA_RANGE = (0.0, 0.5)
 BETA_RANGE = (0.0, 2.0)
+
+# |S| x |A| x |S| float64 tables `measure` holds at once at its peak: about 3.2
+# in `estimate`, then 6.2-6.6 in `intrinsic_measures`, the model's included
+PEAK_TABLES = 7
 
 
 class UsageError(ValueError):
@@ -133,14 +137,15 @@ def cmd_measure(args) -> int:
             raise UsageError(f"measure {name!r} is named more than once in --measures")
     needed = 8 * s_alph.size**2 * a_alph.size
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > memory:
+    if PEAK_TABLES * needed > memory:
         s_from, a_from = (
             f"--{c}-bins" if vars(args)[f"{c}_bins"] else f"--{c}-size" if vars(args)[f"{c}_size"]
             else f"inferred from column {c[0]}" for c in ("sensor", "action")
         )
         raise UsageError(
             f"a {s_alph.size} x {a_alph.size} x {s_alph.size} model (|S|: {s_from}; |A|: {a_from}) "
-            f"needs {needed} bytes of float64, more than the {memory} bytes of physical memory"
+            f"needs {needed} bytes of float64, more than the {memory // PEAK_TABLES} bytes per "
+            f"table with {PEAK_TABLES} tables held at once in the {memory} bytes of physical memory"
         )
     model = estimate(series, s_alph, a_alph)
     report = MeasureReport(
@@ -358,6 +363,9 @@ def main(argv=None) -> int:
     # are ValueErrors; OSError covers missing inputs and blocked outputs
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

@@ -22,8 +22,14 @@ from .measures import IntrinsicModel
 from .prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3, compose_joint
 
 
-# characters per read when the CSV fast path scans a file for quotes and line ends
-SCAN_CHUNK = 1 << 20
+# characters per read when the CSV fast path scans a file for quotes and line ends;
+# a text read holds several copies of its chunk at once (bytes, decoded, newline-translated)
+SCAN_CHUNK = 1 << 18
+# data lines per np.loadtxt call when the fast path parses a file.  A block
+# holds its lines, parsed values and binning temporaries at once, about 230
+# bytes a line, while each call costs about 60 us beyond its lines: 8,192
+# lines hold about 2 MB and add under 1% to the parse of a long file
+BLOCK_ROWS = 8192
 
 
 class DataError(ValueError):
@@ -154,8 +160,11 @@ def read_symbol_series(
     The last row may leave `a` empty to record the final sensor reading;
     otherwise the trailing action has no observed successor and is dropped.
 
-    A well-formed file is parsed by numpy's C reader; any other file goes
-    through the row loop, whose DataError names the file line at fault.
+    A well-formed file is parsed by numpy's C reader, `BLOCK_ROWS` lines at
+    a time, each block binned straight into the int64 symbol arrays, so the
+    reader holds little more than the 16 bytes per row of the series.  Any
+    other file goes through the row loop, whose DataError names the file
+    line at fault.
     """
     path = Path(path)
     specs = ((sensor_binner, sensor_size), (action_binner, action_size))
@@ -163,9 +172,10 @@ def read_symbol_series(
 
 
 def _series(columns, specs):
-    """The series and alphabets of checked sensor and action values."""
-    (sensors, sensor_alphabet), (actions, action_alphabet) = (
-        _symbols(values, *spec) for values, spec in zip(columns, specs)
+    """The series and alphabets of checked sensor and action symbols."""
+    sensors, actions = columns
+    sensor_alphabet, action_alphabet = (
+        _alphabet(symbols, *spec) for symbols, spec in zip(columns, specs)
     )
     if len(actions) == len(sensors):
         # no successor recorded for the last action
@@ -173,12 +183,17 @@ def _series(columns, specs):
     return SymbolSeries(sensors, actions), sensor_alphabet, action_alphabet
 
 
-def _symbols(values, binner, size):
+def _alphabet(symbols, binner, size):
     if binner is not None:
-        return binner.index(values), binner.alphabet()
+        return binner.alphabet()
     if size is None:
-        size = int(values.max()) + 1 if len(values) else 1
-    return values, Alphabet(size)
+        size = int(symbols.max()) + 1 if len(symbols) else 1
+    return Alphabet(size)
+
+
+def _symbols(values, binner):
+    """The symbols of one column's checked values: bin indices, or the integers as read."""
+    return values if binner is None else binner.index(values)
 
 
 def _accepted(values, binner, size) -> bool:
@@ -189,56 +204,101 @@ def _accepted(values, binner, size) -> bool:
 
 
 def _read_fast(path, specs):
-    """Sensor and action values of a well-formed file, parsed by `np.loadtxt`.
+    """Sensor and action symbols of a well-formed file, parsed by `np.loadtxt`.
 
-    Returns None, leaving the file to the row loop, if the file holds a
-    quote (csv splits quoted cells, loadtxt does not), a bad header, a short
-    or whitespace-only row, a blank last line, a cell loadtxt cannot parse,
-    or a value the row loop rejects.  Both skip empty rows.  The last row's
-    action may be blank, so it is parsed with that cell set to 0, which is
-    then dropped.
+    Returns None, leaving the file to the row loop, if `_scan` declines the
+    file, a row is short or whitespace-only, a cell is one loadtxt cannot
+    parse, or a value is one the row loop rejects.  Each parsed block is
+    checked, then binned into symbol arrays sized by the scan's line count.
     """
     try:
-        # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
-        with path.open(encoding="utf-8") as handle:
-            lines, previous, tail = 0, "", ""
-            for chunk in iter(partial(handle.read, SCAN_CHUNK), ""):
-                if '"' in chunk:
+        scanned = _scan(path)
+        if scanned is None:
+            return None
+        symbols = np.empty((len(specs), scanned[0]), dtype=np.int64)
+        ends = [0] * len(specs)
+        for block in _value_blocks(path, *scanned, specs):
+            for column, (values, (binner, size)) in enumerate(zip(block, specs)):
+                if not _accepted(values, binner, size):
                     return None
-                lines += chunk.count("\n")
-                previous, tail = tail, chunk
-            lines += not tail.endswith("\n")
-            # the last line is whole in the last two chunks unless it is
-            # longer than a chunk; then they hold no line end before it
-            body = (previous + tail).removesuffix("\n")
-            if lines < 2 or "\n" not in body:
+                start = ends[column]
+                ends[column] += len(values)
+                symbols[column, start : ends[column]] = _symbols(values, binner)
+    except ValueError:
+        return None
+    return tuple(row[:end] for row, end in zip(symbols, ends))
+
+
+def _scan(path):
+    """The data-line count and last-line cells of a file `np.loadtxt` may parse.
+
+    Returns None if the file holds a quote (csv splits quoted cells,
+    loadtxt does not), a bad header, no data line, or a blank or short
+    last line.  The text is read `SCAN_CHUNK` characters at a time, and
+    only the last two chunks are held.
+    """
+    # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
+    with path.open(encoding="utf-8") as handle:
+        lines, previous, tail = 0, "", ""
+        for chunk in iter(partial(handle.read, SCAN_CHUNK), ""):
+            if '"' in chunk:
                 return None
-            last = body[body.rfind("\n") + 1 :].split(",")
-            handle.seek(0)
-            header = handle.readline().split(",")
-            if len(last) < 3 or [cell.strip().lower() for cell in header[:3]] != ["t", "s", "a"]:
-                return None
-            final_blank = not last[2].strip()
-            if final_blank:
-                last[2] = "0"
-            kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
-            rows = np.loadtxt(
-                chain(islice(handle, lines - 2), [",".join(last)]),
+            lines += chunk.count("\n")
+            previous, tail = tail, chunk
+        lines += not tail.endswith("\n")
+        # the last line is whole in the last two chunks unless it is
+        # longer than a chunk; then they hold no line end before it
+        body = (previous + tail).removesuffix("\n")
+        if lines < 2 or "\n" not in body:
+            return None
+        last = body[body.rfind("\n") + 1 :].split(",")
+        handle.seek(0)
+        header = handle.readline().split(",")
+    if len(last) < 3 or [cell.strip().lower() for cell in header[:3]] != ["t", "s", "a"]:
+        return None
+    return lines - 1, last
+
+
+def _value_blocks(path, rows, last, specs):
+    """Sensor and action values of the `rows` data lines, `BLOCK_ROWS` lines per loadtxt call.
+
+    `last` holds the cells of the last line.  Its action may be blank, so
+    it is parsed with that cell set to 0, which is then dropped.  A block of
+    blank lines alone, which loadtxt skips, yields nothing.  Raises
+    ValueError on a row or cell loadtxt cannot parse.
+    """
+    final_blank = not last[2].strip()
+    if final_blank:
+        last = [*last[:2], "0", *last[3:]]
+    kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
+    with path.open(encoding="utf-8") as handle:
+        handle.readline()
+        lines = chain(islice(handle, rows - 1), [",".join(last)])
+        for start in range(0, rows, BLOCK_ROWS):
+            block = list(islice(lines, BLOCK_ROWS))
+            if block.count("\n") == len(block):
+                # loadtxt would warn that it found no data
+                continue
+            values = np.loadtxt(
+                block,
                 dtype=list(zip("sa", kinds)),
                 delimiter=",",
                 usecols=(1, 2),
                 comments=None,
                 ndmin=1,
             )
-    except ValueError:
-        return None
-    columns = rows["s"], rows["a"][:-1] if final_blank else rows["a"]
-    if all(_accepted(values, *spec) for values, spec in zip(columns, specs)):
-        return columns
-    return None
+            final = final_blank and start + BLOCK_ROWS >= rows
+            yield values["s"], values["a"][:-1] if final else values["a"]
 
 
 def _read_rows(path, specs):
+    """Sensor and action symbols of a file parsed row by row; a DataError names the file line."""
+    return tuple(
+        _symbols(values, binner) for values, (binner, _) in zip(_row_values(path, specs), specs)
+    )
+
+
+def _row_values(path, specs):
     """Sensor and action values parsed row by row; a DataError names the file line."""
     # the file line of each data row, so messages name lines past blank rows
     linenos: list[int] = []

@@ -419,7 +419,8 @@ class TestBadInputExitsTwo:
         assert error.endswith(" bytes of physical memory")
 
     def test_model_within_memory_reaches_the_estimator(self, tmp_path, capsys, monkeypatch):
-        # a 5,001-symbol inferred alphabet needs 400 MB, well within memory
+        # a 5,001-symbol inferred alphabet needs 400 MB a table, 2.8 GB at the
+        # peak of 7 tables, within this test's machines' memory
         series = write_series(tmp_path / "series.csv", ["0,5000,1", "1,0,0", "2,1,"])
 
         def estimate(series, s_alph, a_alph):
@@ -428,6 +429,61 @@ class TestBadInputExitsTwo:
         monkeypatch.setattr(cli, "estimate", estimate)
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 5001 x 2\n"
+
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
+        sysconf = cli.os.sysconf
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(
+            cli.os, "sysconf", lambda name: sizes[name] if name in sizes else sysconf(name)
+        )
+
+    @pytest.mark.parametrize("memory", [144, 1007])
+    def test_model_beyond_its_peak_share_of_memory_exits_two(
+        self, tmp_path, capsys, monkeypatch, memory
+    ):
+        # one 3 x 2 x 3 table takes 144 bytes, and measure holds 7 at once: 1,008
+        self.physical_memory(monkeypatch, memory)
+        monkeypatch.setattr(cli, "estimate", None)
+        series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
+        assert run_cli("measure", "--input", str(series)) == 2
+        assert capsys.readouterr().err == (
+            "error: a 3 x 2 x 3 model (|S|: inferred from column s; |A|: inferred from column a) "
+            f"needs 144 bytes of float64, more than the {memory // 7} bytes per table with 7 "
+            f"tables held at once in the {memory} bytes of physical memory\n"
+        )
+
+    def test_model_within_its_peak_share_of_memory_reaches_the_estimator(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self.physical_memory(monkeypatch, 7 * 144)
+
+        def estimate(series, s_alph, a_alph):
+            raise ConsistencyError(f"reached with {s_alph.size} x {a_alph.size}")
+
+        monkeypatch.setattr(cli, "estimate", estimate)
+        series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
+        assert run_cli("measure", "--input", str(series)) == 3
+        assert capsys.readouterr().err == "error: reached with 3 x 2\n"
+
+    @pytest.mark.parametrize("numpy_error", [True, False], ids=["numpy-allocation", "bare"])
+    def test_memory_error_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch, numpy_error):
+        def estimate(series, s_alph, a_alph):
+            # 8 PiB is beyond any address space, so the request fails at once
+            if numpy_error:
+                np.empty(1 << 50)
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "estimate", estimate)
+        series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
+        assert run_cli("measure", "--input", str(series)) == 2
+        expected = "error: out of memory"
+        if numpy_error:
+            expected += (
+                ": Unable to allocate 8.00 PiB for an array with shape (1125899906842624,) "
+                "and data type float64"
+            )
+        assert capsys.readouterr().err == expected + "\n"
 
     def test_config_file_with_nan_exits_two(self, tmp_path, capsys):
         config = tmp_path / "rotator.cfg"

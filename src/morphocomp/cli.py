@@ -113,21 +113,14 @@ def cmd_measure(args) -> int:
         bins, size = getattr(args, f"{column}_bins"), getattr(args, f"{column}_size")
         if size is not None and size < 1:
             raise UsageError(f"--{column}-size must be at least 1, got {size}")
-        if bins and size is not None:
+        if bins is not None and size is not None:
             raise UsageError(
                 f"--{column}-bins and --{column}-size conflict: a binned column's "
                 "alphabet size is its bin count"
             )
-    sensor_binner = _parse_binner(args.sensor_bins) if args.sensor_bins else None
-    action_binner = _parse_binner(args.action_bins) if args.action_bins else None
-    series, s_alph, a_alph = read_symbol_series(
-        args.input,
-        sensor_binner=sensor_binner,
-        action_binner=action_binner,
-        sensor_size=args.sensor_size,
-        action_size=args.action_size,
-    )
-    names = tuple(args.measures.split(",")) if args.measures else INTRINSIC_MEASURES
+    sensor_binner = _parse_binner(args.sensor_bins) if args.sensor_bins is not None else None
+    action_binner = _parse_binner(args.action_bins) if args.action_bins is not None else None
+    names = tuple(args.measures.split(",")) if args.measures is not None else INTRINSIC_MEASURES
     for name in names:
         if name not in INTRINSIC_MEASURES:
             raise UsageError(
@@ -135,6 +128,13 @@ def cmd_measure(args) -> int:
             )
         if names.count(name) > 1:
             raise UsageError(f"measure {name!r} is named more than once in --measures")
+    series, s_alph, a_alph = read_symbol_series(
+        args.input,
+        sensor_binner=sensor_binner,
+        action_binner=action_binner,
+        sensor_size=args.sensor_size,
+        action_size=args.action_size,
+    )
     needed = 8 * s_alph.size**2 * a_alph.size
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if PEAK_TABLES * needed > memory:
@@ -229,6 +229,7 @@ def cmd_rotator_run(args) -> int:
     _warn_soft_range("eta", cfg.eta, *ETA_RANGE)
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
     episode = rotator.run_episode(cfg)
+    report = MeasureReport(rotator.episode_measures(episode.series))
     out = _ensure_out(args)
 
     transients_path = out / "transients.csv"
@@ -248,8 +249,7 @@ def cmd_rotator_run(args) -> int:
     final = (cfg.steps * cfg.control_dt, episode.velocities[-1], "")
     _write_csv(series_path, ("t", "s", "a"), itertools.chain(steps, [final]))
 
-    values = rotator.episode_measures(episode.series)
-    for name, value in values.items():
+    for name, value in report.values.items():
         print(f"{name:<8s} {value:.6f}")
     _write_manifest(
         out,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
-from itertools import zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -252,42 +252,41 @@ def episode_measures(series: SymbolSeries) -> dict[str, float]:
     return intrinsic_measures(model)
 
 
-def _check_grid(eta_values, beta_values, runs: int, cfg: RotatorConfig) -> None:
-    """Reject a run count below one, or any eta or beta a cell's config would reject."""
-    if runs < 1:
-        raise ValueError("runs_per_cell must be at least 1")
-    for eta, beta in zip_longest(eta_values, beta_values, fillvalue=0.0):
-        replace(cfg, eta=eta, beta=beta)
+def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
+    """Measures of each (eta, beta, eta index, beta index, run) lane, one row per lane.
 
-
-def _cell_values(cfg: RotatorConfig, cells, runs: int) -> Iterator[dict]:
-    """Mean measures over `runs` episodes of each (eta, beta, eta index, beta index) cell.
-
-    Each episode is a lane, run cell-major :data:`SWEEP_CHUNK` at a time and
-    binned into int8 symbols as it steps.  Every run of an eta = 0 cell is
-    the same episode, so run 0 alone is simulated and counted `runs` times.
+    The lanes step together, binned into int8 symbols as they go.  Lane i is
+    seeded from (master seed, eta index, beta index, run) alone.
     """
-    lanes = [(cell, r) for cell in cells for r in range(runs if cell[0] else 1)]
-    totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
-    for start in range(0, len(lanes), SWEEP_CHUNK):
-        chunk = lanes[start : start + SWEEP_CHUNK]
-        eta, beta, run = np.array([(*cell[:2], r) for cell, r in chunk], dtype=np.float64).T
-        seqs = [np.random.SeedSequence((cfg.seed, *cell[2:], r)) for cell, r in chunk]
-        sensors = np.empty((len(chunk), cfg.steps + 1), dtype=np.int8)  # 30 bins each
-        actions = np.empty((len(chunk), cfg.steps), dtype=np.int8)
-        for t, (v, _, _, f) in enumerate(_lockstep(cfg, eta, beta, run, seqs)):
-            sensors[:, t] = SENSOR_BINNER.index(v)
-            if f is not None:
-                actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
-        for (cell, r), s, a in zip(chunk, sensors, actions):
-            values = episode_measures(SymbolSeries(s, a))
-            copies = 1 if cell[0] else runs
-            for name in INTRINSIC_MEASURES:
-                for _ in range(copies):
-                    totals[name] += values[name]
-            if r + copies == runs:
-                yield {name: totals[name] / runs for name in INTRINSIC_MEASURES}
-                totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
+    eta, beta, _, _, run = np.array(lanes, dtype=np.float64).T
+    seqs = [np.random.SeedSequence((cfg.seed, *lane[2:])) for lane in lanes]
+    sensors = np.empty((len(lanes), cfg.steps + 1), dtype=np.int8)  # 30 bins each
+    actions = np.empty((len(lanes), cfg.steps), dtype=np.int8)
+    for t, (v, _, _, f) in enumerate(_lockstep(cfg, eta, beta, run, seqs)):
+        sensors[:, t] = SENSOR_BINNER.index(v)
+        if f is not None:
+            actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
+    values = np.empty((len(lanes), len(INTRINSIC_MEASURES)))
+    for i, (s, a) in enumerate(zip(sensors, actions)):
+        measured = episode_measures(SymbolSeries(s, a))
+        values[i] = [measured[name] for name in INTRINSIC_MEASURES]
+    return values
+
+
+def _cell_reports(cfg: RotatorConfig, cells, runs: int) -> Iterator[MeasureReport]:
+    """Each cell's lane values summed in run order and averaged, from lanes measured cell-major.
+
+    Every run of an eta = 0 cell is the same episode, so that cell has one
+    lane, counted `runs` times.
+    """
+    lanes = [(*cell, r) for cell in cells for r in range(runs if cell[0] else 1)]
+    chunks = (lanes[i : i + SWEEP_CHUNK] for i in range(0, len(lanes), SWEEP_CHUNK))
+    lane_values = chain.from_iterable(_lane_values(cfg, chunk) for chunk in chunks)
+    metadata = {"runs": runs, "seed": cfg.seed, "steps": cfg.steps}
+    for eta, beta, _, _ in cells:
+        values = islice(lane_values, runs) if eta else [next(lane_values)] * runs
+        means = dict(zip(INTRINSIC_MEASURES, (sum(values, 0.0) / runs).tolist()))
+        yield MeasureReport(means, metadata={"eta": float(eta), "beta": float(beta), **metadata})
 
 
 def cell_measures(cfg: RotatorConfig, eta: float, beta: float, runs: int) -> dict[str, float]:
@@ -304,10 +303,9 @@ def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> It
     Per-run seeds derive from (master seed, eta index, beta index, run index),
     so cells are independent.
     """
-    _check_grid(eta_values, beta_values, runs_per_cell, cfg)
+    if runs_per_cell < 1:
+        raise ValueError("runs_per_cell must be at least 1")
+    for eta, beta in zip_longest(eta_values, beta_values, fillvalue=0.0):
+        replace(cfg, eta=eta, beta=beta)  # raises on any value a cell's config rejects
     cells = [(e, b, ei, bi) for ei, e in enumerate(eta_values) for bi, b in enumerate(beta_values)]
-    metadata = {"runs": runs_per_cell, "seed": cfg.seed, "steps": cfg.steps}
-    return (
-        MeasureReport(v, metadata={"eta": float(eta), "beta": float(beta), **metadata})
-        for (eta, beta, _, _), v in zip(cells, _cell_values(cfg, cells, runs_per_cell))
-    )
+    return _cell_reports(cfg, cells, runs_per_cell)

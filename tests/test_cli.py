@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from morphocomp import binary, cli
+from morphocomp import binary, cli, rotator
 from morphocomp.cli import build_parser, main
 from morphocomp.measures import ConsistencyError
 from morphocomp.prob import (
@@ -90,6 +90,13 @@ class TestMeasureCommand:
             "--measures", "mc_a",
         )
         assert code == 2
+
+    def test_unknown_measure_is_named_before_the_input_is_read(self, tmp_path, capsys):
+        code = run_cli("measure", "--input", str(tmp_path / "nope.csv"), "--measures", "bogus")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown measure 'bogus'; choose from asoc_a, asoc_w, c_a, c_w\n"
+        )
 
     def test_repeated_measure_name_is_named(self, tmp_path, capsys):
         path = self.make_uniform_series(tmp_path, n=50)
@@ -211,17 +218,28 @@ class TestRotatorCommands:
             "--out", str(out),
         )
         assert code == 0
-        capsys.readouterr()
-        code = run_cli(
-            "measure", "--input", str(out / "series.csv"),
-            "--sensor-bins", "0:8:30", "--action-bins=-1:1:30",
-            "--format", "json",
-        )
+        run_table = capsys.readouterr().out.splitlines()
+        bins = ["--sensor-bins", "0:8:30", "--action-bins=-1:1:30"]
+        assert run_cli("measure", "--input", str(out / "series.csv"), *bins) == 0
+        assert capsys.readouterr().out.splitlines() == run_table
+        assert len(run_table) == 4
+        code = run_cli("measure", "--input", str(out / "series.csv"), *bins, "--format", "json")
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         # single noiseless episode reproduces the reference coasting values
         assert report["values"]["c_w"] == pytest.approx(0.54, abs=0.05)
         assert report["values"]["asoc_a"] == pytest.approx(0.99, abs=0.05)
+
+    def test_run_value_out_of_range_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rotator, "episode_measures", lambda series: {"asoc_a": 1.5})
+        out = tmp_path / "episode"
+        assert run_cli("rotator", "run", "--steps", "50", "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: measure asoc_a = 1.5 is outside [0, 1] beyond tolerance"
+        ]
+        assert not out.exists()
 
     def test_soft_range_warning(self, tmp_path, capsys):
         out = tmp_path / "episode"
@@ -320,6 +338,9 @@ class TestBadInputExitsTwo:
             ["measure", "--input", "{series}", "--sensor-size", "100000000000"],
             ["measure", "--input", "{huge}"],
             ["measure", "--input", "{series}", "--sensor-bins", "0:1:3000", "--action-bins=-1:1:3000"],
+            ["measure", "--input", "{series}", "--measures", ""],
+            ["measure", "--input", "{series}", "--sensor-bins", ""],
+            ["measure", "--input", "{series}", "--action-bins", ""],
         ],
         ids=[
             "sweep-runs-0",
@@ -351,6 +372,9 @@ class TestBadInputExitsTwo:
             "measure-sensor-size-1e11",
             "measure-inferred-sensor-size-1e11",
             "measure-bins-3000-each",
+            "measure-measures-empty",
+            "measure-sensor-bins-empty",
+            "measure-action-bins-empty",
         ],
     )
     def test_exits_two_with_error_line(self, tmp_path, capsys, argv):

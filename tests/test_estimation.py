@@ -148,6 +148,11 @@ class TestSymbolSeries:
         with pytest.raises(DataError):
             SymbolSeries([0, -1], [0])
 
+    def test_two_dimensional_symbols(self):
+        with pytest.raises(DataError, match="symbol series must be one-dimensional") as caught:
+            SymbolSeries([[0, 1], [1, 0]], [0])
+        assert isinstance(caught.value, ValueError)
+
     def test_len_counts_transitions(self):
         assert len(SymbolSeries([0, 1, 0], [1, 0])) == 2
 

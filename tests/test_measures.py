@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from morphocomp.estimation import estimate, joint_from_model
 from morphocomp.prob import (
     Alphabet,
     DegenerateAlphabetError,
+    DimensionError,
     Distribution,
     Joint3,
     Kernel2,
@@ -301,6 +303,66 @@ class TestCausalDeliberativeMeasure:
         rows_a = Kernel2(ctrl, B, np.full((2, 2), 0.5))
         with pytest.raises(SupportError):
             c_a_deliberative(prior, policy, rows_c, rows_a)
+
+
+def uniform_dist(n):
+    return Distribution(Alphabet(n), np.full(n, 1 / n))
+
+
+def uniform_kernel2(n_source, n_target):
+    return Kernel2(Alphabet(n_source), Alphabet(n_target), np.full((n_source, n_target), 1 / n_target))
+
+
+def uniform_kernel3(n_source1, n_source2, n_target):
+    shape = (n_source1, n_source2, n_target)
+    return Kernel3(*map(Alphabet, shape), np.full(shape, 1 / n_target))
+
+
+class TestAlphabetChecks:
+    """Each alphabet mismatch raises a DimensionError (a ValueError) that names it."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: IntrinsicModel(uniform_dist(3), uniform_kernel2(2, 2), uniform_kernel3(3, 2, 3)),
+             "policy/world model must condition on the sensor alphabet"),
+            (lambda: IntrinsicModel(uniform_dist(2), uniform_kernel2(2, 3), uniform_kernel3(2, 2, 2)),
+             "world model action alphabet differs from policy output"),
+            (lambda: IntrinsicModel(uniform_dist(2), uniform_kernel2(2, 2), uniform_kernel3(2, 2, 3)),
+             "world model must map back into the sensor alphabet"),
+            (lambda: mc_a(Joint3(Alphabet(2), Alphabet(2), Alphabet(3), np.full((2, 2, 3), 1 / 12))),
+             "current-state and next-state axes must share one alphabet"),
+            (lambda: cif(uniform_kernel2(2, 2), uniform_dist(3)),
+             "cif prior must range over the kernel's source alphabet"),
+            (lambda: c_a_deliberative(
+                uniform_dist(2), uniform_kernel2(3, 2), uniform_kernel2(2, 2), uniform_kernel2(2, 2)),
+             "controller policy must condition on the controller alphabet"),
+            (lambda: c_a_deliberative(
+                uniform_dist(2), uniform_kernel2(2, 2), uniform_kernel2(3, 2), uniform_kernel2(2, 2)),
+             "do(c) kernel must range over the controller alphabet"),
+            (lambda: c_a_deliberative(
+                uniform_dist(2), uniform_kernel2(2, 3), uniform_kernel2(2, 2), uniform_kernel2(2, 2)),
+             "do(a) kernel must range over the action alphabet"),
+            (lambda: c_a_deliberative(
+                uniform_dist(2), uniform_kernel2(2, 2), uniform_kernel2(2, 2), uniform_kernel2(2, 3)),
+             "both interventional kernels must share the target alphabet"),
+        ],
+        ids=[
+            "model-policy-source",
+            "model-world-action",
+            "model-world-target",
+            "mc_a-non-square-joint",
+            "cif-prior",
+            "deliberative-policy-source",
+            "deliberative-do-c-source",
+            "deliberative-do-a-source",
+            "deliberative-targets",
+        ],
+    )
+    def test_mismatch_is_a_named_dimension_error(self, call, message):
+        with pytest.raises(DimensionError, match=re.escape(message)) as caught:
+            call()
+        assert isinstance(caught.value, ValueError)
 
 
 class TestConditionalIndependenceMeasure:

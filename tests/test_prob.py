@@ -124,6 +124,15 @@ class TestComposeAndMarginal:
                 Kernel3(B, B, B, np.full((2, 2, 2), 0.5)),
             )
 
+    def test_kernel_alphabet_mismatch(self):
+        with pytest.raises(DimensionError, match="kernel conditioning alphabets differ") as caught:
+            compose_joint(
+                Distribution(B, np.full(2, 0.5)),
+                Kernel2(B, B, np.full((2, 2), 0.5)),
+                Kernel3(Alphabet(3), B, B, np.full((3, 2, 2), 0.5)),
+            )
+        assert isinstance(caught.value, ValueError)
+
 
 class TestCondition:
     """Conditionals read off a composed joint by summing `joint.probs`."""

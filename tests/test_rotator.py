@@ -315,6 +315,25 @@ class TestConfigFile:
         with pytest.raises(DataError, match="beta must be finite"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("version = 1\nbeta 2.0\n", ":2: expected `key = value`"),
+            ("version = 2\nbeta = 2.0\n", ": unsupported config version '2'"),
+        ],
+        ids=["no-equals-sign", "version-2"],
+    )
+    def test_reject_malformed_line_and_future_version(self, tmp_path, text, message):
+        from morphocomp.estimation import DataError
+        from morphocomp.rotator import load_config
+
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(DataError) as caught:
+            load_config(path)
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == f"{path}{message}"
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(

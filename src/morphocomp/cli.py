@@ -37,8 +37,8 @@ ROTATOR_SWEEP_COLUMNS = ("eta", "beta", "asoc_a", "c_a", "asoc_w", "c_w", "runs"
 ETA_RANGE = (0.0, 0.5)
 BETA_RANGE = (0.0, 2.0)
 
-# |S| x |A| x |S| float64 tables `measure` holds at once at its peak: about 3.2
-# in `estimate`, then 6.2-6.6 in `intrinsic_measures`, the model's included
+# |S| x |A| x |S| float64 tables `measure` holds at once at its peak: about 3.1
+# in `estimate`, then 5.2-5.7 in `intrinsic_measures`, the model's included
 PEAK_TABLES = 7
 
 
@@ -229,7 +229,8 @@ def cmd_rotator_run(args) -> int:
     _warn_soft_range("eta", cfg.eta, *ETA_RANGE)
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
     episode = rotator.run_episode(cfg)
-    report = MeasureReport(rotator.episode_measures(episode.series))
+    model = estimate(episode.series, rotator.sensor_alphabet(), rotator.action_alphabet())
+    report = MeasureReport(intrinsic_measures(model))
     out = _ensure_out(args)
 
     transients_path = out / "transients.csv"

@@ -4,6 +4,12 @@ The estimator starts every conditional cell at the uniform distribution and
 folds observations in one at a time; the closed form after n observations of
 a cell is (count + 1/|target|) / (n + 1).  Unvisited cells therefore stay
 uniform, which keeps all divergences in the measures finite.
+
+:func:`estimate_arrays` computes the model on plain arrays, as the checked
+tables that the measures' array core takes; `rotator sweep` estimates and
+measures each lane that way, building no objects.  :func:`estimate` checks
+a series' symbols against its alphabets and wraps the same arrays in the
+validated objects of the public API.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .measures import IntrinsicModel
-from .prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3, compose_joint
+from .prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3, check_probs, compose_joint
 
 
 # characters per read when the CSV fast path scans a file for quotes and line ends;
@@ -106,38 +112,41 @@ class Binner:
         return Alphabet(self.bins)
 
 
-def _check_bounds(symbols: np.ndarray, alphabet: Alphabet, what: str) -> None:
-    if len(symbols) and int(symbols.max()) >= alphabet.size:
-        raise DataError(
-            f"{what} symbol {int(symbols.max())} outside alphabet of size {alphabet.size}"
-        )
-
-
-def estimate(
-    series: SymbolSeries, sensor_alphabet: Alphabet, action_alphabet: Alphabet
-) -> IntrinsicModel:
+def estimate_arrays(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int):
     """Estimate sensor prior, policy and world model from one recording.
 
     Every conditional cell carries a uniform pseudo-observation, so after n
     hits of a cell the estimate is (count + 1/|target|) / (n + 1); the prior
-    p(s) is estimated the same way from the current-sensor stream.
+    p(s) is estimated the same way from the current-sensor stream.  Takes
+    integer symbols in range(n_s) and range(n_a), and returns the prior
+    (1,S), policy (1,S,A) and world model (1,S,A,S), checked as
+    `measures.intrinsic_values` takes them.
     """
-    _check_bounds(series.sensors, sensor_alphabet, "sensor")
-    _check_bounds(series.actions, action_alphabet, "action")
-    n_s, n_a = sensor_alphabet.size, action_alphabet.size
-    s_now = series.sensors[:-1]
-    triples = (s_now * n_a + series.actions) * n_s + series.sensors[1:]
+    # narrow symbols are widened for the index arithmetic; int64 ones are not copied
+    sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in (sensors, actions))
+    triples = (sensors[:-1] * n_a + actions) * n_s + sensors[1:]
     transitions = np.bincount(triples, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
     visits_sa = transitions.sum(axis=2).astype(np.float64)
     world = (transitions + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
     visits_s = visits_sa.sum(axis=1)
     policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
-    prior = (visits_s + 1.0 / n_s) / (len(s_now) + 1.0)
+    prior = (visits_s + 1.0 / n_s) / (len(actions) + 1.0)
+    tables = (prior, "distribution"), (policy, "kernel"), (world, "kernel")
+    return tuple(check_probs(table[None], name) for table, name in tables)
 
+
+def estimate(
+    series: SymbolSeries, sensor_alphabet: Alphabet, action_alphabet: Alphabet
+) -> IntrinsicModel:
+    """The model of :func:`estimate_arrays` as validated objects, its symbols checked first."""
+    s, a = sensor_alphabet, action_alphabet
+    for symbols, alphabet, what in ((series.sensors, s, "sensor"), (series.actions, a, "action")):
+        if len(symbols) and int(symbols.max()) >= alphabet.size:
+            top = int(symbols.max())
+            raise DataError(f"{what} symbol {top} outside alphabet of size {alphabet.size}")
+    prior, policy, world = estimate_arrays(series.sensors, series.actions, s.size, a.size)
     return IntrinsicModel(
-        Distribution(sensor_alphabet, prior),
-        Kernel2(sensor_alphabet, action_alphabet, policy),
-        Kernel3(sensor_alphabet, action_alphabet, sensor_alphabet, world),
+        Distribution(s, prior[0]), Kernel2(s, a, policy[0]), Kernel3(s, a, s, world[0])
     )
 
 

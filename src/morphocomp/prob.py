@@ -16,16 +16,18 @@ terms with p = 0 contribute nothing to divergences (0 * ln 0 = 0), while
 p > 0 against q = 0 is reported as a :class:`SupportError` instead of
 silently returning infinity.  Every divergence and conditional mutual
 information in the package takes its logarithm in :func:`log_ratio_sum`,
-which skips the zero terms, and reports a support violation through
-:func:`raise_first`.  That fault and every other numerical one raised in
-the package is a :class:`ComputeError`, which names the table at fault in
-a stack.
+which skips the zero terms and sums a table from the logarithms of the
+ratio's factors where their products under- or overflow, and reports a
+support violation through :func:`raise_first`.  That fault and every other
+numerical one raised in the package is a :class:`ComputeError`, which
+names the table at fault in a stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -96,13 +98,27 @@ def check_probs(arr: np.ndarray, name: str, whole: bool = False) -> np.ndarray:
 def log_ratio_sum(weights, num, den, where, axis) -> np.ndarray:
     """Sum of weights * ln(num / den) over `axis`, on the entries `where` holds.
 
-    The operands broadcast to one shape.  Entries outside `where` are never
-    divided and add nothing, which is the 0 * ln 0 = 0 convention when
-    `where` is the support of the weights.
+    `num` and `den` are arrays or tuples of factors, and all operands
+    broadcast to one shape.  Entries outside `where` are never divided and
+    add nothing, which is the 0 * ln 0 = 0 convention when `where` is the
+    support of the weights.  The ratio is formed from the products of the
+    factors; a sum that is not finite because a product under- or
+    overflowed is summed again from the logarithms of the factors.
     """
-    ratio = np.ones(np.broadcast_shapes(num.shape, den.shape))
-    np.divide(num, den, out=ratio, where=where)
-    return np.sum(weights * np.log(ratio), axis=axis, where=where)
+    nums, dens = (factors if isinstance(factors, tuple) else (factors,) for factors in (num, den))
+    ratio = np.ones(np.broadcast_shapes(*(factor.shape for factor in nums + dens)))
+
+    def weighted_log(factor):
+        return weights * np.log(factor)
+
+    with np.errstate(all="ignore"):
+        np.divide(reduce(np.multiply, nums), reduce(np.multiply, dens), out=ratio, where=where)
+        value = np.sum(weighted_log(ratio), axis=axis, where=where)
+        redo = ~np.isfinite(value)
+        if redo.any():
+            terms = reduce(np.add, map(weighted_log, nums)) - reduce(np.add, map(weighted_log, dens))
+            value[redo] = np.sum(terms, axis=axis, where=where)[redo]
+    return value
 
 
 def raise_first(mask: np.ndarray, message: str, error=SupportError) -> None:
@@ -243,7 +259,7 @@ def cmi_arrays(P: np.ndarray, given: int) -> np.ndarray:
     else:
         p_g = P.sum(axis=(1, 3))[:, None, :, None]
         p_gz = P.sum(axis=1)[:, None, :, :]
-    value = log_ratio_sum(P, P * p_g, p_xy[:, :, :, None] * p_gz, P > 0, axis=(1, 2, 3))
+    value = log_ratio_sum(P, (P, p_g), (p_xy[:, :, :, None], p_gz), P > 0, axis=(1, 2, 3))
     return np.where(value > 0.0, value, 0.0)
 
 

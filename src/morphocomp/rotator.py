@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import Binner, DataError, SymbolSeries, estimate
-from .measures import INTRINSIC_MEASURES, MeasureReport, intrinsic_measures
+from .estimation import Binner, DataError, SymbolSeries, estimate_arrays
+from .measures import INTRINSIC_MEASURES, MeasureReport, intrinsic_values
 from .prob import Alphabet, ComputeError
 
 TWO_PI = 2.0 * math.pi
@@ -246,12 +246,6 @@ def action_alphabet() -> Alphabet:
     return ACTION_BINNER.alphabet()
 
 
-def episode_measures(series: SymbolSeries) -> dict[str, float]:
-    """Estimate a model from one episode and evaluate the intrinsic measures."""
-    model = estimate(series, sensor_alphabet(), action_alphabet())
-    return intrinsic_measures(model)
-
-
 def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
     """Measures of each (eta, beta, eta index, beta index, run) lane, one row per lane.
 
@@ -268,8 +262,8 @@ def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
             actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
     values = np.empty((len(lanes), len(INTRINSIC_MEASURES)))
     for i, (s, a) in enumerate(zip(sensors, actions)):
-        measured = episode_measures(SymbolSeries(s, a))
-        values[i] = [measured[name] for name in INTRINSIC_MEASURES]
+        measured = intrinsic_values(*estimate_arrays(s, a, SENSOR_BINNER.bins, ACTION_BINNER.bins))
+        values[i] = [measured[name][0] for name in INTRINSIC_MEASURES]
     return values
 
 

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -183,6 +184,20 @@ class TestMeasureSurfaces:
         again = list(sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0))
         for first, second in zip(grid, again):
             assert first.values == second.values
+
+    def test_extreme_couplings_measure_in_range_without_warning(self):
+        # at (phi, psi, mu) = (400, 50, 50) and five more of these points, the
+        # products inside the conditional mutual information underflow
+        grid = (0.0, 1.0, 50.0, 400.0, 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = list(sweep(grid, grid, grid, zeta=20.0, tau=0.0))
+        assert len(reports) == 125
+        for report in reports:
+            assert all(0.0 <= value <= 1.0 for value in report.values.values())
+        point = point_measures(400.0, 50.0, 50.0, 20.0, 0.0)
+        assert point["mc_a"] == pytest.approx(1.0, abs=1e-12)
+        assert point["mc_w"] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,15 @@ class TestBinarySweepCommand:
         assert "zero marginal probability" in error
         assert not (out / "binary_sweep.csv").exists()
 
+    def test_underflowing_point_exits_zero(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["binary-sweep", "--phi", "400", "--psi", "50", "--mu", "50", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = self.read_rows(out / "binary_sweep.csv")
+        assert float(row["mc_a"]) == pytest.approx(1.0, abs=1e-12)
+        assert float(row["mc_w"]) == pytest.approx(0.0, abs=1e-12)
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep"
         run_cli(
@@ -231,7 +240,7 @@ class TestRotatorCommands:
         assert report["values"]["asoc_a"] == pytest.approx(0.99, abs=0.05)
 
     def test_run_value_out_of_range_exits_three(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(rotator, "episode_measures", lambda series: {"asoc_a": 1.5})
+        monkeypatch.setattr(cli, "intrinsic_measures", lambda model: {"asoc_a": 1.5})
         out = tmp_path / "episode"
         assert run_cli("rotator", "run", "--steps", "50", "--out", str(out)) == 3
         captured = capsys.readouterr()

@@ -21,6 +21,7 @@ from morphocomp.estimation import (
     DataError,
     SymbolSeries,
     estimate,
+    estimate_arrays,
     joint_from_model,
     read_symbol_series,
 )
@@ -233,6 +234,46 @@ class TestEstimate:
         series = SymbolSeries([0, 5], [0])
         with pytest.raises(DataError):
             estimate(series, Alphabet(3), Alphabet(2))
+
+
+class TestEstimateArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 5000),
+        n_s=st.integers(1, 30),
+        n_a=st.integers(1, 30),
+        dtype=st.sampled_from([np.int8, np.int64]),
+    )
+    def test_bitwise_equal_to_estimate(self, seed, steps, n_s, n_a, dtype):
+        # symbols drawn from a random part of each alphabet, so some rows go unvisited
+        rng = np.random.default_rng(seed)
+        sensors = rng.integers(0, rng.integers(1, n_s + 1), steps + 1).astype(dtype)
+        actions = rng.integers(0, rng.integers(1, n_a + 1), steps).astype(dtype)
+        model = estimate(SymbolSeries(sensors, actions), Alphabet(n_s), Alphabet(n_a))
+        tables = (model.sensor_prior.probs, model.policy.rows, model.world_model.entries)
+        arrays = estimate_arrays(sensors, actions, n_s, n_a)
+        assert len(arrays) == len(tables)
+        for array, table in zip(arrays, tables):
+            assert array.shape == (1, *table.shape)
+            assert array.tobytes() == table.tobytes()
+
+
+class TestEstimateMemory:
+    STEPS = 1_000_000
+
+    def test_peak_stays_near_one_int64_per_transition(self):
+        rng = np.random.default_rng(0)
+        series = SymbolSeries(rng.integers(0, 30, self.STEPS + 1), rng.integers(0, 30, self.STEPS))
+        tracemalloc.start()
+        try:
+            estimate(series, Alphabet(30), Alphabet(30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int64 transition indices take 8 bytes each; a copy of the
+        # series' int64 symbols would add 8 more
+        assert peak / self.STEPS <= 9
 
 
 class TestJointFromModel:

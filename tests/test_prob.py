@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,35 @@ class TestLogRatioSum:
             for z in range(2)
         )
         assert value[0] == pytest.approx(expected, abs=1e-15)
+
+    def test_factors_give_the_bits_of_their_products(self):
+        rng = np.random.default_rng(3)
+        P = rng.dirichlet(np.ones(24)).reshape(1, 2, 3, 4)
+        p_g = P.sum(axis=(2, 3))[:, :, None, None]
+        p_xy = P.sum(axis=3)[:, :, :, None]
+        p_gz = P.sum(axis=2)[:, :, None, :]
+        factored = log_ratio_sum(P, (P, p_g), (p_xy, p_gz), P > 0, axis=(1, 2, 3))
+        product = log_ratio_sum(P, P * p_g, p_xy * p_gz, P > 0, axis=(1, 2, 3))
+        assert factored.tobytes() == product.tobytes()
+
+    def test_table_whose_products_underflow_or_overflow_is_summed_from_factors(self):
+        # table 0's products underflow to 0 / 0 and table 2's overflow to
+        # inf / inf, though every factor and every ratio is a normal number
+        scale = np.array([1e-200, 1.0, 1e200])[:, None]
+        weights = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+        num = (scale * [[1.0, 2.0]], scale * [[3.0, 1.0]])
+        den = (scale * [[4.0, 1.0]], scale * [[1.0, 8.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_ratio_sum(weights, num, den, weights > 0, axis=1)
+        ratios = np.array([3.0 / 4.0, 2.0 / 8.0])
+        for table in (0, 2):
+            expected = sum(w * math.log(r) for w, r in zip(weights[table], ratios) if w)
+            assert value[table] == pytest.approx(expected, rel=1e-15)
+        # the finite table keeps the bits of the product form
+        with np.errstate(over="ignore"):
+            products = num[0] * num[1], den[0] * den[1]
+        assert value[1].tobytes() == log_ratio_sum(weights, *products, weights > 0, 1)[1].tobytes()
 
     def test_logarithm_taken_only_here(self):
         # every ratio site routes through log_ratio_sum, so an underflow

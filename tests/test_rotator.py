@@ -8,21 +8,28 @@ from hypothesis import strategies as st
 
 from morphocomp import rotator
 from morphocomp.cli import main
-from morphocomp.estimation import SymbolSeries
-from morphocomp.measures import INTRINSIC_MEASURES, MeasureReport
+from morphocomp.estimation import SymbolSeries, estimate
+from morphocomp.measures import (
+    INTRINSIC_MEASURES,
+    IntrinsicModel,
+    MeasureReport,
+    intrinsic_measures,
+)
+from morphocomp.prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3
 from morphocomp.rotator import (
     ACTION_BINNER,
     SENSOR_BINNER,
     NumericalError,
     RotatorConfig,
     control_force,
-    episode_measures,
     run_episode,
     sweep,
     total_energy,
     _integrate,
     _lockstep,
     _simulate_batch,
+    action_alphabet,
+    sensor_alphabet,
 )
 
 CFG = RotatorConfig()
@@ -362,7 +369,8 @@ def per_cell_rows(eta_grid, beta_grid, runs, cfg):
     """The sweep's rows computed cell by cell, as `sweep` did before its lanes were batched.
 
     Each cell simulates all its runs, eta = 0 included, as one batch at the
-    cell's config, and sums each run's measures in run order.
+    cell's config, measures each run through the validated objects of
+    `estimate`, and sums the runs' measures in run order.
     """
     rows = []
     for ei, eta in enumerate(eta_grid):
@@ -373,7 +381,7 @@ def per_cell_rows(eta_grid, beta_grid, runs, cfg):
             totals = dict.fromkeys(INTRINSIC_MEASURES, 0.0)
             for v, f in zip(velocities, forces):
                 series = SymbolSeries(SENSOR_BINNER.index(v), ACTION_BINNER.index(f / cell.f_max))
-                values = episode_measures(series)
+                values = intrinsic_measures(estimate(series, sensor_alphabet(), action_alphabet()))
                 for name in INTRINSIC_MEASURES:
                     totals[name] += values[name]
             means = {name: totals[name] / runs for name in INTRINSIC_MEASURES}
@@ -413,6 +421,21 @@ class TestSweepEqualsCells:
                 patch.setattr(rotator, "SWEEP_CHUNK", chunk)
                 rows = [row_bits(report) for report in sweep(eta_grid, beta_grid, runs, cfg)]
             assert rows == alone
+
+    def test_sweep_builds_no_validated_object(self, monkeypatch):
+        built = []
+        for cls in (Distribution, Kernel2, Kernel3, Joint3, IntrinsicModel):
+
+            def counted(self, validate=cls.__post_init__):
+                built.append(type(self).__name__)
+                validate(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert len(list(sweep([0.0, 0.3], [0.0, 1.0], 2, RotatorConfig(steps=40)))) == 4
+        assert built == []
+        # the count sees the objects that `estimate` builds
+        estimate(SymbolSeries([0, 1], [0]), Alphabet(2), Alphabet(2))
+        assert sorted(built) == ["Distribution", "IntrinsicModel", "Kernel2", "Kernel3"]
 
     def test_cell_measures_is_a_one_cell_sweep(self):
         cfg = RotatorConfig(steps=50, seed=4)

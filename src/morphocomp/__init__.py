@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .estimation import Binner, SymbolSeries, estimate, joint_from_model, read_symbol_series
 from .measures import (
     IntrinsicModel,
-    MeasureReport,
     action_prior,
     asoc_a,
     asoc_w,
@@ -38,7 +37,6 @@ __all__ = [
     "Joint3",
     "Kernel2",
     "Kernel3",
-    "MeasureReport",
     "SymbolSeries",
     "action_prior",
     "asoc_a",

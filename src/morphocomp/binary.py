@@ -22,7 +22,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .measures import MeasureReport, action_effect, intrinsic_values, world_effect
+from .measures import action_effect, checked_rows, intrinsic_values, world_effect
 from .prob import (
     ComputeError,
     chain_arrays,
@@ -39,9 +39,9 @@ DEFAULT_GRID = tuple(np.linspace(0.0, 5.0, 51))
 DEFAULT_MU_VALUES = (0.0, 1.0, 20.0)
 STRICT = 20.0
 
-# Grid points per array pass of a sweep.  A chunk of 1,024 holds about 2 MB
-# of arrays and reports at a time and runs near the speed of one pass over
-# all 7,803 points of the default grid, which would hold about 9 MB.
+# Grid points per array pass of a sweep.  A chunk of 1,024 peaks at about
+# 1.7 MB of arrays and rows (tracemalloc) and runs near the speed of one pass
+# over all 7,803 points of the default grid, which would peak at about 8.6 MB.
 SWEEP_CHUNK = 1024
 
 
@@ -106,26 +106,18 @@ def intrinsic_model_arrays(alpha, beta, pi, p_w):
     return check_probs(p_s, "distribution"), pi, check_probs(world, "kernel")
 
 
-def _reports(phi, psi, mu, zeta: float, tau: float) -> list[MeasureReport]:
-    """Reports for the points (phi[i], psi[i], mu[i]) at one zeta and tau, in one array pass."""
+def _reports(phi, psi, mu, zeta: float, tau: float) -> list[dict[str, float]]:
+    """Rows for the points (phi[i], psi[i], mu[i]) at one zeta and tau, in one array pass."""
     maps = kernel_arrays(phi, psi, zeta, mu, tau)
     joint = world_joint_arrays(*maps)
     values = {"mc_a": action_effect(joint), "mc_w": world_effect(joint)}
     values.update(intrinsic_values(*intrinsic_model_arrays(*maps)))
-    columns = {name: value.tolist() for name, value in values.items()}
-    reports = []
-    for i, (p, s, m) in enumerate(zip(phi.tolist(), psi.tolist(), mu.tolist())):
-        metadata = {"phi": p, "psi": s, "mu": m, "zeta": zeta, "tau": tau}
-        try:
-            reports.append(MeasureReport({n: c[i] for n, c in columns.items()}, metadata))
-        except ComputeError as exc:
-            exc.batch = i
-            raise
-    return reports
+    rows = zip(phi.tolist(), psi.tolist(), mu.tolist(), checked_rows(values))
+    return [{"phi": p, "psi": s, "mu": m, **row} for p, s, m, row in rows]
 
 
-def point_measures(phi: float, psi: float, mu: float, zeta: float, tau: float) -> MeasureReport:
-    """All six swept measures at one parameter point, evaluated exactly: a one-point sweep."""
+def point_measures(phi: float, psi: float, mu: float, zeta: float, tau: float) -> dict:
+    """The row of the six swept measures at one point, evaluated exactly: a one-point sweep."""
     return next(sweep([phi], [psi], [mu], zeta, tau))
 
 
@@ -135,14 +127,15 @@ def sweep(
     mu_values=DEFAULT_MU_VALUES,
     zeta: float = STRICT,
     tau: float = 0.0,
-) -> Iterator[MeasureReport]:
-    """Measure surfaces over a (phi, psi, mu) grid, rows in grid order.
+) -> Iterator[dict[str, float]]:
+    """Measure surfaces over a (phi, psi, mu) grid, one row per point in grid order.
 
-    The grid is checked whole up front.  Its points are then evaluated
-    :data:`SWEEP_CHUNK` at a time in array passes, and the reports are
-    yielded chunk by chunk.  A failing chunk's error names the first point,
-    in grid order, that fails the first check to fail in its array pass;
-    another point may fail a later check too.
+    A row holds the point's phi, psi and mu and its six measures.  The grid
+    is checked whole up front.  Its points are then evaluated
+    :data:`SWEEP_CHUNK` at a time in array passes, their values range-checked
+    as arrays, and the rows are yielded chunk by chunk.  A failing chunk's
+    error names the first point, in grid order, that fails the first check
+    to fail in its array pass; another point may fail a later check too.
     """
     axes = [np.array(tuple(values), dtype=np.float64) for values in (phi_values, psi_values, mu_values)]
     if not all(axis.size for axis in axes):
@@ -151,16 +144,16 @@ def sweep(
     return _sweep_chunks(axes, float(zeta), float(tau))
 
 
-def _sweep_chunks(axes, zeta: float, tau: float) -> Iterator[MeasureReport]:
+def _sweep_chunks(axes, zeta: float, tau: float) -> Iterator[dict[str, float]]:
     shape = tuple(axis.size for axis in axes)
     total = int(np.prod(shape))
     for start in range(0, total, SWEEP_CHUNK):
         i, j, k = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
         phi, psi, mu = axes[0][i], axes[1][j], axes[2][k]
         try:
-            reports = _reports(phi, psi, mu, zeta, tau)
+            rows = _reports(phi, psi, mu, zeta, tau)
         except ComputeError as exc:
             b = exc.batch
             exc.args = (f"phi={phi[b]:g}, psi={psi[b]:g}, mu={mu[b]:g}: {exc}", *exc.args[1:])
             raise
-        yield from reports
+        yield from rows

@@ -6,7 +6,9 @@ Commands:
   rotator run   one pendulum episode (transients + symbol series)
   rotator sweep averaged measures over a noise/deadband grid
 
-Every invocation that writes files also writes a manifest.json capturing the
+Every command measures on plain arrays, builds no validated object and
+range-checks its values once per array (``measures.checked_rows``).  Every
+invocation that writes files also writes a manifest.json capturing the
 resolved configuration, seed and tool version, sufficient to regenerate the
 outputs bit-identically.  Exit codes: 0 success, 2 usage or parse error or
 out of memory, 3 numerical or consistency error (a ``prob.ComputeError``).
@@ -25,8 +27,8 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__, binary, rotator
-from .estimation import Binner, estimate, read_symbol_series
-from .measures import INTRINSIC_MEASURES, MeasureReport, intrinsic_measures
+from .estimation import Binner, estimate_arrays, read_symbol_series
+from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
 from .prob import ComputeError
 from .rotator import RotatorConfig
 
@@ -37,8 +39,8 @@ ROTATOR_SWEEP_COLUMNS = ("eta", "beta", "asoc_a", "c_a", "asoc_w", "c_w", "runs"
 ETA_RANGE = (0.0, 0.5)
 BETA_RANGE = (0.0, 2.0)
 
-# |S| x |A| x |S| float64 tables `measure` holds at once at its peak: about 3.1
-# in `estimate`, then 5.2-5.7 in `intrinsic_measures`, the model's included
+# |S| x |A| x |S| float64 tables `measure` holds at once at its peak (tracemalloc):
+# 3.1-3.2 in `estimate_arrays`, then 5.2 in `intrinsic_values`, the model's included
 PEAK_TABLES = 7
 
 
@@ -81,21 +83,20 @@ def _write_json(path: Path, document, sort_keys: bool = True) -> None:
         handle.write("\n")
 
 
-def _write_table(out: Path, stem: str, fmt: str, columns, reports: Iterable[MeasureReport]) -> Path:
-    """Write one row per report, its metadata and values picked by `columns`.
+def _write_table(out: Path, stem: str, fmt: str, columns, rows: Iterable[dict]) -> Path:
+    """Write the rows, each with its entries picked by `columns`.
 
     `fmt` "json" writes `<stem>.json`, a list of records in column order;
-    anything else writes `<stem>.csv`.  The reports may be a stream: CSV
+    anything else writes `<stem>.csv`.  The rows may be a stream: CSV
     rows are written as they arrive, and a stream that fails leaves no
     partial table behind.
     """
-    records = ({**report.metadata, **report.values} for report in reports)
     path = out / f"{stem}.{'json' if fmt == 'json' else 'csv'}"
     try:
         if fmt == "json":
-            _write_json(path, [{c: record[c] for c in columns} for record in records], sort_keys=False)
+            _write_json(path, [{c: row[c] for c in columns} for row in rows], sort_keys=False)
         else:
-            _write_csv(path, columns, ([record[c] for c in columns] for record in records))
+            _write_csv(path, columns, ([row[c] for c in columns] for row in rows))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -147,22 +148,19 @@ def cmd_measure(args) -> int:
             f"needs {needed} bytes of float64, more than the {memory // PEAK_TABLES} bytes per "
             f"table with {PEAK_TABLES} tables held at once in the {memory} bytes of physical memory"
         )
-    model = estimate(series, s_alph, a_alph)
-    report = MeasureReport(
-        intrinsic_measures(model, names),
-        metadata={
-            "input": str(args.input),
-            "transitions": len(series),
-            "sensor_alphabet": s_alph.size,
-            "action_alphabet": a_alph.size,
-        },
-    )
-    document = {"values": report.values, "metadata": report.metadata}
+    tables = estimate_arrays(series.sensors, series.actions, s_alph.size, a_alph.size)
+    (values,) = checked_rows(intrinsic_values(*tables, names))
+    document = {"values": values, "metadata": {
+        "input": str(args.input),
+        "transitions": len(series),
+        "sensor_alphabet": s_alph.size,
+        "action_alphabet": a_alph.size,
+    }}
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         for name in names:
-            print(f"{name:<8s} {report[name]:.6f}")
+            print(f"{name:<8s} {values[name]:.6f}")
     if args.out:
         out = _ensure_out(args)
         report_path = out / "report.json"
@@ -185,10 +183,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_binary_sweep(args) -> int:
-    reports = binary.sweep(args.phi, args.psi, args.mu, zeta=args.zeta, tau=args.tau)
+    rows = binary.sweep(args.phi, args.psi, args.mu, zeta=args.zeta, tau=args.tau)
     points = len(args.phi) * len(args.psi) * len(args.mu)
     out = _ensure_out(args)
-    table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, reports)
+    table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, rows)
     _write_manifest(
         out,
         "binary-sweep",
@@ -229,8 +227,9 @@ def cmd_rotator_run(args) -> int:
     _warn_soft_range("eta", cfg.eta, *ETA_RANGE)
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
     episode = rotator.run_episode(cfg)
-    model = estimate(episode.series, rotator.sensor_alphabet(), rotator.action_alphabet())
-    report = MeasureReport(intrinsic_measures(model))
+    sensors, actions = episode.series.sensors, episode.series.actions
+    tables = estimate_arrays(sensors, actions, rotator.SENSOR_BINNER.bins, rotator.ACTION_BINNER.bins)
+    (values,) = checked_rows(intrinsic_values(*tables))
     out = _ensure_out(args)
 
     transients_path = out / "transients.csv"
@@ -250,7 +249,7 @@ def cmd_rotator_run(args) -> int:
     final = (cfg.steps * cfg.control_dt, episode.velocities[-1], "")
     _write_csv(series_path, ("t", "s", "a"), itertools.chain(steps, [final]))
 
-    for name, value in report.values.items():
+    for name, value in values.items():
         print(f"{name:<8s} {value:.6f}")
     _write_manifest(
         out,
@@ -268,9 +267,9 @@ def cmd_rotator_sweep(args) -> int:
     for beta in args.beta_grid:
         _warn_soft_range("beta", beta, *BETA_RANGE)
     cfg = _rotator_config(args)
-    reports = rotator.sweep(args.eta_grid, args.beta_grid, args.runs, cfg)
+    rows = rotator.sweep(args.eta_grid, args.beta_grid, args.runs, cfg)
     out = _ensure_out(args)
-    table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, reports)
+    table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, rows)
     _write_manifest(
         out,
         "rotator-sweep",

@@ -26,12 +26,13 @@ tables with a leading batch axis: joints (B,X,Y,Z), or models given as
 prior p(s) (B,S), policy p(a|s) (B,S,A) and world model p(s'|s,a)
 (B,S,A,S).  A batch of models, such as the points of a binary sweep, is
 measured in one pass.  The functions on validated objects (``mc_a`` ...
-``c_w``, ``intrinsic_measures``) call the core with a batch of one.
+``c_w``, ``intrinsic_measures``) call the core with a batch of one.  The
+sweeps and the CLI report through ``checked_rows``, one range check per array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +51,8 @@ from .prob import (
     raise_first,
 )
 
-MEASURE_NAMES = ("mc_a", "mc_w", "asoc_a", "asoc_w", "c_a", "c_a_d", "c_w")
-
-# Values may stray this far outside [0, 1] from float accumulation before a
-# report treats them as evidence of a bug.
+# Values may stray this far outside [0, 1] from float accumulation before
+# `checked_rows` treats them as evidence of a bug.
 RANGE_TOL = 1e-9
 
 # The two forms of c_a are algebraically identical; a larger gap signals an
@@ -95,27 +94,24 @@ class IntrinsicModel:
         return self.policy.target
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Named measure values in [0, 1] plus run metadata."""
+def checked_rows(values: dict[str, np.ndarray]) -> list[dict[str, float]]:
+    """Named value arrays with a leading batch axis as rows, checked in the order given.
 
-    values: dict[str, float]
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clamped = {}
-        for name, value in self.values.items():
-            if name not in MEASURE_NAMES:
-                raise ValueError(f"unknown measure name {name!r}")
-            if not (-RANGE_TOL <= value <= 1.0 + RANGE_TOL):
-                raise ConsistencyError(
-                    f"measure {name} = {value!r} is outside [0, 1] beyond tolerance"
-                )
-            clamped[name] = min(max(float(value), 0.0), 1.0)
-        object.__setattr__(self, "values", clamped)
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
+    A NaN, or a value more than :data:`RANGE_TOL` outside [0, 1], raises
+    ConsistencyError with `batch` set to its row; any other value is clamped
+    as min(max(v, 0.0), 1.0) clamps it, so a -0.0 stays -0.0.
+    """
+    columns = []
+    for name, value in values.items():
+        bad = ~((value >= -RANGE_TOL) & (value <= 1.0 + RANGE_TOL))
+        if bad.any():
+            b = int(np.argmax(bad))
+            raise ConsistencyError(
+                f"measure {name} = {float(value[b])!r} is outside [0, 1] beyond tolerance",
+                batch=b,
+            )
+        columns.append(np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value)).tolist())
+    return [dict(zip(values, row)) for row in zip(*columns)]
 
 
 def _square_log_size(P: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import Binner, DataError, SymbolSeries, estimate_arrays
-from .measures import INTRINSIC_MEASURES, MeasureReport, intrinsic_values
+from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
 from .prob import Alphabet, ComputeError
 
 TWO_PI = 2.0 * math.pi
@@ -267,20 +267,20 @@ def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
     return values
 
 
-def _cell_reports(cfg: RotatorConfig, cells, runs: int) -> Iterator[MeasureReport]:
-    """Each cell's lane values summed in run order and averaged, from lanes measured cell-major.
+def _cell_reports(cfg: RotatorConfig, cells, runs: int) -> Iterator[dict]:
+    """One row per cell: eta, beta, runs and its lane values' range-checked run-order means.
 
-    Every run of an eta = 0 cell is the same episode, so that cell has one
-    lane, counted `runs` times.
+    Lanes are measured cell-major.  Every run of an eta = 0 cell is the same
+    episode, so that cell has one lane, counted `runs` times.
     """
     lanes = [(*cell, r) for cell in cells for r in range(runs if cell[0] else 1)]
     chunks = (lanes[i : i + SWEEP_CHUNK] for i in range(0, len(lanes), SWEEP_CHUNK))
     lane_values = chain.from_iterable(_lane_values(cfg, chunk) for chunk in chunks)
-    metadata = {"runs": runs, "seed": cfg.seed, "steps": cfg.steps}
     for eta, beta, _, _ in cells:
         values = islice(lane_values, runs) if eta else [next(lane_values)] * runs
-        means = dict(zip(INTRINSIC_MEASURES, (sum(values, 0.0) / runs).tolist()))
-        yield MeasureReport(means, metadata={"eta": float(eta), "beta": float(beta), **metadata})
+        means = sum(values, 0.0) / runs
+        (row,) = checked_rows(dict(zip(INTRINSIC_MEASURES, means[:, None])))
+        yield {"eta": float(eta), "beta": float(beta), "runs": runs, **row}
 
 
 def cell_measures(cfg: RotatorConfig, eta: float, beta: float, runs: int) -> dict[str, float]:
@@ -288,17 +288,21 @@ def cell_measures(cfg: RotatorConfig, eta: float, beta: float, runs: int) -> dic
 
     A one-cell :func:`sweep`, so run r is seeded from (master seed, 0, 0, r).
     """
-    return next(sweep([eta], [beta], runs, cfg)).values
+    row = next(sweep([eta], [beta], runs, cfg))
+    return {name: row[name] for name in INTRINSIC_MEASURES}
 
 
-def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[MeasureReport]:
-    """Averaged reports over a grid checked whole up front, yielded in (eta, beta) order.
+def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[dict]:
+    """Averaged rows over a grid checked whole up front, yielded in (eta, beta) order.
 
     Per-run seeds derive from (master seed, eta index, beta index, run index),
     so cells are independent.
     """
     if runs_per_cell < 1:
         raise ValueError("runs_per_cell must be at least 1")
+    eta_values, beta_values = tuple(eta_values), tuple(beta_values)
+    if not (eta_values and beta_values):
+        raise ValueError("sweep grids must be non-empty")
     for eta, beta in zip_longest(eta_values, beta_values, fillvalue=0.0):
         replace(cfg, eta=eta, beta=beta)  # raises on any value a cell's config rejects
     cells = [(e, b, ei, bi) for ei, e in enumerate(eta_values) for bi, b in enumerate(beta_values)]

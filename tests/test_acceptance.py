@@ -287,9 +287,7 @@ class TestNoiseDeadbandSurface:
         beta_grid = [0.0, 0.5, 1.0, 1.5, 2.0]
         start = time.perf_counter()
         reports = rotator.sweep(eta_grid, beta_grid, runs_per_cell=10, cfg=RotatorConfig(seed=0))
-        table = {
-            (r.metadata["eta"], r.metadata["beta"]): r.values for r in reports
-        }
+        table = {(r["eta"], r["beta"]): r for r in reports}
         elapsed = time.perf_counter() - start
         base = table[(0.0, 0.0)]
         peak = table[(0.5, 2.0)]

@@ -18,6 +18,7 @@ from morphocomp.measures import ConsistencyError, mc_a, mc_w
 from morphocomp.prob import Alphabet, Joint3, SupportError
 
 B = Alphabet(2)
+SWEPT = ("mc_a", "mc_w", "asoc_a", "asoc_w", "c_a", "c_w")
 
 
 def reference_tables(phi, psi, zeta, mu, tau):
@@ -179,11 +180,11 @@ class TestMeasureSurfaces:
     def test_sweep_grid_order_and_determinism(self):
         grid = list(sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0))
         assert len(grid) == 4
-        keys = [(r.metadata["phi"], r.metadata["psi"], r.metadata["mu"]) for r in grid]
+        keys = [(r["phi"], r["psi"], r["mu"]) for r in grid]
         assert keys == [(0.0, 0.0, 0.0), (0.0, 0.0, 20.0), (1.0, 0.0, 0.0), (1.0, 0.0, 20.0)]
         again = list(sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0))
         for first, second in zip(grid, again):
-            assert first.values == second.values
+            assert first == second
 
     def test_extreme_couplings_measure_in_range_without_warning(self):
         # at (phi, psi, mu) = (400, 50, 50) and five more of these points, the
@@ -194,7 +195,7 @@ class TestMeasureSurfaces:
             reports = list(sweep(grid, grid, grid, zeta=20.0, tau=0.0))
         assert len(reports) == 125
         for report in reports:
-            assert all(0.0 <= value <= 1.0 for value in report.values.values())
+            assert all(0.0 <= report[name] <= 1.0 for name in SWEPT)
         point = point_measures(400.0, 50.0, 50.0, 20.0, 0.0)
         assert point["mc_a"] == pytest.approx(1.0, abs=1e-12)
         assert point["mc_w"] == pytest.approx(0.0, abs=1e-12)
@@ -222,10 +223,10 @@ class TestMeasureSurfaces:
             list(sweep((0, 1, 2, 3, 4), (0,), (0,)))
 
 
-def row_bits(report):
-    """A report's grid point and values; hex keeps the sign of zero."""
-    point = tuple(report.metadata[k] for k in ("phi", "psi", "mu"))
-    return point, {name: value.hex() for name, value in report.values.items()}
+def row_bits(row):
+    """A row's grid point and values; hex keeps the sign of zero."""
+    point = tuple(row[k] for k in ("phi", "psi", "mu"))
+    return point, {name: row[name].hex() for name in SWEPT}
 
 
 COUPLINGS = st.lists(st.floats(0.0, 25.0), min_size=1, max_size=4)

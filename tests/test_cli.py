@@ -240,7 +240,7 @@ class TestRotatorCommands:
         assert report["values"]["asoc_a"] == pytest.approx(0.99, abs=0.05)
 
     def test_run_value_out_of_range_exits_three(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "intrinsic_measures", lambda model: {"asoc_a": 1.5})
+        monkeypatch.setattr(cli, "intrinsic_values", lambda *tables: {"asoc_a": np.array([1.5])})
         out = tmp_path / "episode"
         assert run_cli("rotator", "run", "--steps", "50", "--out", str(out)) == 3
         captured = capsys.readouterr()
@@ -456,10 +456,10 @@ class TestBadInputExitsTwo:
         # peak of 7 tables, within this test's machines' memory
         series = write_series(tmp_path / "series.csv", ["0,5000,1", "1,0,0", "2,1,"])
 
-        def estimate(series, s_alph, a_alph):
-            raise ConsistencyError(f"reached with {s_alph.size} x {a_alph.size}")
+        def estimate_arrays(sensors, actions, n_s, n_a):
+            raise ConsistencyError(f"reached with {n_s} x {n_a}")
 
-        monkeypatch.setattr(cli, "estimate", estimate)
+        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 5001 x 2\n"
 
@@ -477,7 +477,7 @@ class TestBadInputExitsTwo:
     ):
         # one 3 x 2 x 3 table takes 144 bytes, and measure holds 7 at once: 1,008
         self.physical_memory(monkeypatch, memory)
-        monkeypatch.setattr(cli, "estimate", None)
+        monkeypatch.setattr(cli, "estimate_arrays", None)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 2
         assert capsys.readouterr().err == (
@@ -491,23 +491,23 @@ class TestBadInputExitsTwo:
     ):
         self.physical_memory(monkeypatch, 7 * 144)
 
-        def estimate(series, s_alph, a_alph):
-            raise ConsistencyError(f"reached with {s_alph.size} x {a_alph.size}")
+        def estimate_arrays(sensors, actions, n_s, n_a):
+            raise ConsistencyError(f"reached with {n_s} x {n_a}")
 
-        monkeypatch.setattr(cli, "estimate", estimate)
+        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 3 x 2\n"
 
     @pytest.mark.parametrize("numpy_error", [True, False], ids=["numpy-allocation", "bare"])
     def test_memory_error_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch, numpy_error):
-        def estimate(series, s_alph, a_alph):
+        def estimate_arrays(sensors, actions, n_s, n_a):
             # 8 PiB is beyond any address space, so the request fails at once
             if numpy_error:
                 np.empty(1 << 50)
             raise MemoryError
 
-        monkeypatch.setattr(cli, "estimate", estimate)
+        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 2
         expected = "error: out of memory"

@@ -8,13 +8,13 @@ from conftest import random_distribution, random_joint, random_kernel2, random_k
 from morphocomp.measures import (
     ConsistencyError,
     IntrinsicModel,
-    MeasureReport,
     action_prior,
     asoc_a,
     asoc_w,
     c_a,
     c_a_deliberative,
     c_w,
+    checked_rows,
     cif,
     do_a,
     do_s,
@@ -439,24 +439,43 @@ class TestStackedModels:
             assert alone["c_a"] == pytest.approx(brute_c_a(model), abs=1e-12)
             assert alone["c_w"] == pytest.approx(brute_c_w(model), abs=1e-12)
 
-
-class TestMeasureReport:
-    def test_band_clamping(self):
-        report = MeasureReport({"mc_a": -1e-10, "c_w": 1.0 + 1e-10})
-        assert report["mc_a"] == 0.0
-        assert report["c_w"] == 1.0
-
-    def test_out_of_band_rejected(self):
-        with pytest.raises(ConsistencyError):
-            MeasureReport({"mc_a": 1.1})
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            MeasureReport({"mystery": 0.5})
-
     def test_intrinsic_selection(self, rng):
         model = random_model(rng)
         values = intrinsic_measures(model, ("c_w", "asoc_a"))
         assert set(values) == {"c_w", "asoc_a"}
         with pytest.raises(ValueError):
             intrinsic_measures(model, ("mc_a",))
+
+
+class TestCheckedRows:
+    """The range check and clamp on a stack of values, one row per model."""
+
+    def test_band_clamping(self):
+        rows = checked_rows({
+            "mc_a": np.array([0.25, -1e-10, -0.0]),
+            "c_w": np.array([1.0 + 1e-10, 0.5, 1.0]),
+        })
+        # hex keeps the sign of zero: -0.0 stays as min(max(v, 0.0), 1.0) leaves it
+        assert [{name: value.hex() for name, value in row.items()} for row in rows] == [
+            {"mc_a": (0.25).hex(), "c_w": (1.0).hex()},
+            {"mc_a": (0.0).hex(), "c_w": (0.5).hex()},
+            {"mc_a": (-0.0).hex(), "c_w": (1.0).hex()},
+        ]
+        assert [list(row) for row in rows] == [["mc_a", "c_w"]] * 3
+
+    def test_out_of_band_rejected(self):
+        # rows 1 and 2 of asoc_w fail, and row 0 of the later c_a
+        values = {
+            "mc_a": np.array([0.5, 0.5, 0.5]),
+            "asoc_w": np.array([0.5, 1.1, np.nan]),
+            "c_a": np.array([np.nan, 0.5, 0.5]),
+        }
+        with pytest.raises(ConsistencyError) as caught:
+            checked_rows(values)
+        assert str(caught.value) == "measure asoc_w = 1.1 is outside [0, 1] beyond tolerance"
+        assert caught.value.batch == 1
+        values["asoc_w"][1] = 0.5
+        with pytest.raises(ConsistencyError) as caught:
+            checked_rows(values)
+        assert str(caught.value) == "measure asoc_w = nan is outside [0, 1] beyond tolerance"
+        assert caught.value.batch == 2

@@ -12,7 +12,7 @@ from morphocomp.estimation import SymbolSeries, estimate
 from morphocomp.measures import (
     INTRINSIC_MEASURES,
     IntrinsicModel,
-    MeasureReport,
+    checked_rows,
     intrinsic_measures,
 )
 from morphocomp.prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3
@@ -221,17 +221,28 @@ class TestSweep:
     def test_grid_order_metadata_and_determinism(self):
         cfg = RotatorConfig(steps=200, seed=21)
         reports = list(sweep([0.0, 0.2], [0.0, 1.0], runs_per_cell=2, cfg=cfg))
-        assert [(r.metadata["eta"], r.metadata["beta"]) for r in reports] == [
+        assert [(r["eta"], r["beta"]) for r in reports] == [
             (0.0, 0.0),
             (0.0, 1.0),
             (0.2, 0.0),
             (0.2, 1.0),
         ]
-        assert all(r.metadata["runs"] == 2 for r in reports)
+        assert all(r["runs"] == 2 for r in reports)
         again = list(sweep([0.0, 0.2], [0.0, 1.0], runs_per_cell=2, cfg=cfg))
         assert len(again) == 4
         for first, second in zip(reports, again):
-            assert first.values == second.values
+            assert first == second
+
+    def test_one_shot_grid_iterators_sweep_every_cell(self):
+        cfg = RotatorConfig(steps=50, seed=5)
+        rows = list(sweep(iter([0.0, 0.1]), iter([0.0]), 1, cfg))
+        assert [(r["eta"], r["beta"]) for r in rows] == [(0.0, 0.0), (0.1, 0.0)]
+        assert rows == list(sweep([0.0, 0.1], [0.0], 1, cfg))
+
+    @pytest.mark.parametrize("eta, beta", [([], [0.0]), ([0.0], [])], ids=["eta", "beta"])
+    def test_empty_grid_rejected(self, eta, beta):
+        with pytest.raises(ValueError, match="^sweep grids must be non-empty$"):
+            sweep(eta, beta, runs_per_cell=1, cfg=RotatorConfig(steps=100))
 
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
@@ -266,8 +277,8 @@ class TestSweep:
     def test_values_lie_in_range(self):
         reports = sweep([0.4], [0.3], runs_per_cell=2, cfg=RotatorConfig(steps=300, seed=2))
         for report in reports:
-            for value in report.values.values():
-                assert 0.0 <= value <= 1.0
+            for name in INTRINSIC_MEASURES:
+                assert 0.0 <= report[name] <= 1.0
 
 
 class TestConfigFile:
@@ -384,15 +395,15 @@ def per_cell_rows(eta_grid, beta_grid, runs, cfg):
                 values = intrinsic_measures(estimate(series, sensor_alphabet(), action_alphabet()))
                 for name in INTRINSIC_MEASURES:
                     totals[name] += values[name]
-            means = {name: totals[name] / runs for name in INTRINSIC_MEASURES}
-            rows.append(row_bits(MeasureReport(means, {"eta": eta, "beta": beta})))
+            means = {name: np.array([totals[name] / runs]) for name in INTRINSIC_MEASURES}
+            rows.append(row_bits({"eta": eta, "beta": beta, **checked_rows(means)[0]}))
     return rows
 
 
-def row_bits(report):
-    """A report's cell and values; hex keeps every bit, and the sign of zero."""
-    cell = (report.metadata["eta"], report.metadata["beta"])
-    return cell, {name: value.hex() for name, value in report.values.items()}
+def row_bits(row):
+    """A row's cell and values; hex keeps every bit, and the sign of zero."""
+    cell = (row["eta"], row["beta"])
+    return cell, {name: row[name].hex() for name in INTRINSIC_MEASURES}
 
 
 ETAS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), min_size=1, max_size=3)
@@ -422,7 +433,7 @@ class TestSweepEqualsCells:
                 rows = [row_bits(report) for report in sweep(eta_grid, beta_grid, runs, cfg)]
             assert rows == alone
 
-    def test_sweep_builds_no_validated_object(self, monkeypatch):
+    def test_sweep_builds_no_validated_object(self, monkeypatch, tmp_path):
         built = []
         for cls in (Distribution, Kernel2, Kernel3, Joint3, IntrinsicModel):
 
@@ -433,6 +444,18 @@ class TestSweepEqualsCells:
             monkeypatch.setattr(cls, "__post_init__", counted)
         assert len(list(sweep([0.0, 0.3], [0.0, 1.0], 2, RotatorConfig(steps=40)))) == 4
         assert built == []
+        # nor does any CLI command
+        monkeypatch.chdir(tmp_path)
+        bins = ["--sensor-bins", "0:8:30", "--action-bins=-1:1:30"]
+        for argv in (
+            ["rotator", "run", "--eta", "0.2", "--steps", "40", "--out", "run"],
+            ["measure", "--input", "run/series.csv", *bins, "--out", "measure"],
+            ["rotator", "sweep", "--eta", "0", "0.3", "--beta", "0", "1", "--runs", "2",
+             "--steps", "40", "--out", "sweep"],
+            ["binary-sweep", "--phi", "0", "1", "--psi", "0", "2", "--mu", "0", "--out", "binary"],
+        ):
+            assert main(argv) == 0
+            assert built == [], argv
         # the count sees the objects that `estimate` builds
         estimate(SymbolSeries([0, 1], [0]), Alphabet(2), Alphabet(2))
         assert sorted(built) == ["Distribution", "IntrinsicModel", "Kernel2", "Kernel3"]
@@ -441,7 +464,7 @@ class TestSweepEqualsCells:
         cfg = RotatorConfig(steps=50, seed=4)
         values = rotator.cell_measures(cfg, 0.3, 1.0, runs=2)
         (report,) = sweep([0.3], [1.0], 2, cfg)
-        assert row_bits(MeasureReport(values, report.metadata)) == row_bits(report)
+        assert row_bits({**report, **values}) == row_bits(report)
 
     @pytest.mark.parametrize(
         "eta, beta, expected",

@@ -6,10 +6,11 @@ a cell is (count + 1/|target|) / (n + 1).  Unvisited cells therefore stay
 uniform, which keeps all divergences in the measures finite.
 
 :func:`estimate_arrays` computes the model on plain arrays, as the checked
-tables that the measures' array core takes; `rotator sweep` estimates and
-measures each lane that way, building no objects.  :func:`estimate` checks
-a series' symbols against its alphabets and wraps the same arrays in the
-validated objects of the public API.
+tables that the measures' array core takes; `measure` and the rotator
+estimate and measure each episode that way, building no objects.
+:func:`estimate` checks a series' symbols against its alphabets and builds
+the validated objects of the public API from the same unchecked tables, so
+their constructors check each table once.
 """
 
 from __future__ import annotations
@@ -112,6 +113,20 @@ class Binner:
         return Alphabet(self.bins)
 
 
+def _tables(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int):
+    """The unchecked prior (S,), policy (S,A) and world model (S,A,S) of one recording."""
+    # narrow symbols are widened for the index arithmetic; int64 ones are not copied
+    sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in (sensors, actions))
+    triples = (sensors[:-1] * n_a + actions) * n_s + sensors[1:]
+    transitions = np.bincount(triples, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
+    visits_sa = transitions.sum(axis=2).astype(np.float64)
+    world = (transitions + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
+    visits_s = visits_sa.sum(axis=1)
+    policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
+    prior = (visits_s + 1.0 / n_s) / (len(actions) + 1.0)
+    return prior, policy, world
+
+
 def estimate_arrays(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int):
     """Estimate sensor prior, policy and world model from one recording.
 
@@ -122,16 +137,7 @@ def estimate_arrays(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int
     (1,S), policy (1,S,A) and world model (1,S,A,S), checked as
     `measures.intrinsic_values` takes them.
     """
-    # narrow symbols are widened for the index arithmetic; int64 ones are not copied
-    sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in (sensors, actions))
-    triples = (sensors[:-1] * n_a + actions) * n_s + sensors[1:]
-    transitions = np.bincount(triples, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
-    visits_sa = transitions.sum(axis=2).astype(np.float64)
-    world = (transitions + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
-    visits_s = visits_sa.sum(axis=1)
-    policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
-    prior = (visits_s + 1.0 / n_s) / (len(actions) + 1.0)
-    tables = (prior, "distribution"), (policy, "kernel"), (world, "kernel")
+    tables = zip(_tables(sensors, actions, n_s, n_a), ("distribution", "kernel", "kernel"))
     return tuple(check_probs(table[None], name) for table, name in tables)
 
 
@@ -144,10 +150,8 @@ def estimate(
         if len(symbols) and int(symbols.max()) >= alphabet.size:
             top = int(symbols.max())
             raise DataError(f"{what} symbol {top} outside alphabet of size {alphabet.size}")
-    prior, policy, world = estimate_arrays(series.sensors, series.actions, s.size, a.size)
-    return IntrinsicModel(
-        Distribution(s, prior[0]), Kernel2(s, a, policy[0]), Kernel3(s, a, s, world[0])
-    )
+    prior, policy, world = _tables(series.sensors, series.actions, s.size, a.size)
+    return IntrinsicModel(Distribution(s, prior), Kernel2(s, a, policy), Kernel3(s, a, s, world))
 
 
 def joint_from_model(model: IntrinsicModel) -> Joint3:

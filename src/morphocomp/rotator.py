@@ -87,14 +87,6 @@ class RotatorConfig:
 CONFIG_VERSION = 1
 
 
-def write_config(path, cfg: RotatorConfig) -> None:
-    """Write a config as versioned `key = value` lines."""
-    lines = [f"version = {CONFIG_VERSION}"]
-    for field in fields(RotatorConfig):
-        lines.append(f"{field.name} = {getattr(cfg, field.name)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_config(path) -> RotatorConfig:
     """Read a `key = value` config file; `#` starts a comment.
 
@@ -171,12 +163,6 @@ def control_force(sensor, cfg: RotatorConfig, beta):
     g_clamped = np.clip(g, -1.0, 1.0)
     f = np.where(np.abs(error) >= beta, g_clamped * cfg.f_max, 0.0)
     return g_clamped, f
-
-
-def total_energy(theta, theta_dot, cfg: RotatorConfig):
-    """Kinetic plus potential energy of the free pendulum."""
-    m, l, g = cfg.mass, cfg.length, cfg.gravity
-    return 0.5 * m * l**2 * np.asarray(theta_dot) ** 2 - m * g * l * np.cos(theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel2, random_kernel3
-from morphocomp import estimation
+from morphocomp import estimation, prob
 from morphocomp.cli import main
 from morphocomp.estimation import (
     Binner,
@@ -257,6 +257,22 @@ class TestEstimateArrays:
         for array, table in zip(arrays, tables):
             assert array.shape == (1, *table.shape)
             assert array.tobytes() == table.tobytes()
+
+
+class TestEstimateChecks:
+    def test_each_table_is_checked_once(self, monkeypatch):
+        names, check_probs = [], prob.check_probs
+
+        def counted(arr, name, whole=False):
+            names.append(name)
+            return check_probs(arr, name, whole)
+
+        monkeypatch.setattr(prob, "check_probs", counted)
+        monkeypatch.setattr(estimation, "check_probs", counted)
+        rng = np.random.default_rng(0)
+        series = SymbolSeries(rng.integers(0, 5, 201), rng.integers(0, 4, 200))
+        estimate(series, Alphabet(5), Alphabet(4))
+        assert names == ["distribution", "kernel", "kernel"]
 
 
 class TestEstimateMemory:

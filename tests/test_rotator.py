@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from morphocomp.rotator import (
     control_force,
     run_episode,
     sweep,
-    total_energy,
     _integrate,
     _lockstep,
     _simulate_batch,
@@ -62,11 +61,17 @@ def free_swing_energy_drift(seconds):
     Starts at the target velocity and steps one length-1 lane through
     `_integrate` in 0.01 s control periods, as the simulator does.
     """
+    m, l, g = CFG.mass, CFG.length, CFG.gravity
+
+    def energy(theta, theta_dot):
+        # kinetic plus potential
+        return 0.5 * m * l**2 * theta_dot**2 - m * g * l * np.cos(theta)
+
     theta, theta_dot = np.zeros(1), np.full(1, 2 * math.pi)
-    start = total_energy(theta, theta_dot, CFG)
+    start = energy(theta, theta_dot)
     for _ in range(100 * seconds):
         theta, theta_dot = _integrate(theta, theta_dot, 0.0, CFG, 0.01)
-    return float(abs(total_energy(theta, theta_dot, CFG) - start)[0] / abs(start[0]))
+    return float(abs(energy(theta, theta_dot) - start)[0] / abs(start[0]))
 
 
 class TestDynamics:
@@ -283,11 +288,13 @@ class TestSweep:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        from morphocomp.rotator import load_config, write_config
+        from morphocomp.rotator import CONFIG_VERSION, load_config
 
         cfg = RotatorConfig(eta=0.25, beta=1.75, steps=1234, seed=9, friction=0.1)
         path = tmp_path / "rotator.cfg"
-        write_config(path, cfg)
+        lines = [f"version = {CONFIG_VERSION}"]
+        lines += [f"{field.name} = {getattr(cfg, field.name)!r}" for field in fields(RotatorConfig)]
+        path.write_text("\n".join(lines) + "\n")
         assert load_config(path) == cfg
 
     def test_partial_file_uses_defaults(self, tmp_path):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -55,10 +56,8 @@ class SymbolSeries:
     actions: np.ndarray
 
     def __post_init__(self):
-        sensors = np.asarray(self.sensors, dtype=np.int64)
-        actions = np.asarray(self.actions, dtype=np.int64)
-        if sensors.ndim != 1 or actions.ndim != 1:
-            raise DataError("symbol series must be one-dimensional")
+        sensors = _symbol_column(self.sensors, "sensors")
+        actions = _symbol_column(self.actions, "actions")
         if len(sensors) != len(actions) + 1:
             raise DataError(
                 f"{len(sensors)} sensor symbols with {len(actions)} actions; "
@@ -75,6 +74,23 @@ class SymbolSeries:
         return len(self.actions)
 
 
+def _symbol_column(values, column: str) -> np.ndarray:
+    """One column of symbols as int64; input not of signed integer dtype must hold whole numbers."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise DataError("symbol series must be one-dimensional")
+    if arr.dtype.kind != "i":
+        try:
+            real = arr.astype(np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"{column} must be whole numbers within int64") from None
+        bad = ~(np.isfinite(real) & (real == np.floor(real)) & (np.abs(real) < 2.0**63))
+        if bad.any():
+            index = int(np.argmax(bad))
+            raise DataError(f"{column}[{index}] is {arr[index]}, not a whole number within int64")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Binner:
     """Equal-width binning of a real interval, out-of-range values clamped."""
@@ -88,6 +104,10 @@ class Binner:
             raise ValueError(f"binner bounds must be finite, got [{self.low}, {self.high}]")
         if not self.low < self.high:
             raise ValueError(f"binner needs low < high, got [{self.low}, {self.high}]")
+        try:
+            operator.index(self.bins)
+        except TypeError:
+            raise ValueError(f"binner needs a whole number of bins, got {self.bins!r}") from None
         if self.bins < 1:
             raise ValueError("binner needs at least one bin")
         if not math.isfinite(self.bins * (self.high - self.low)):

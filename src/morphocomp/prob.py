@@ -26,6 +26,7 @@ names the table at fault in a stack.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -156,6 +157,10 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.size)
+        except TypeError:
+            raise DimensionError(f"alphabet size must be an integer, got {self.size!r}") from None
         if self.size < 1:
             raise DimensionError(f"alphabet size must be >= 1, got {self.size}")
 
@@ -225,7 +230,8 @@ def compose_joint(prior: Distribution, policy: Kernel2, kernel: Kernel3) -> Join
         raise DimensionError("policy source alphabet differs from prior alphabet")
     if kernel.source1 != prior.alphabet or kernel.source2 != policy.target:
         raise DimensionError("kernel conditioning alphabets differ from prior/policy")
-    probs = compose_arrays(prior.probs[None], policy.rows[None], kernel.entries[None])[0]
+    # compose_arrays' product without its check: the constructor checks the joint once
+    probs = prior.probs[:, None, None] * policy.rows[:, :, None] * kernel.entries
     return Joint3(prior.alphabet, policy.target, kernel.target, probs)
 
 

@@ -126,24 +126,23 @@ def load_config(path) -> RotatorConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _acceleration(theta, theta_dot, f, cfg: RotatorConfig):
-    m, l, g = cfg.mass, cfg.length, cfg.gravity
-    return (f - cfg.friction * l * theta_dot - m * g * np.sin(theta)) / (m * l)
-
-
 def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float):
-    """Advance (theta, theta_dot) by dt under constant force f.  Array-safe."""
+    """Advance (theta, theta_dot) by dt under constant force f.  Array-safe.
+
+    RK4 on theta' = theta_dot: each stage's velocity kx is both the angle's
+    slope and the velocity at which the next stage's acceleration kv is taken.
+    """
     h = dt / RK4_SUBSTEPS
+    fl, mg, ml = cfg.friction * cfg.length, cfg.mass * cfg.gravity, cfg.mass * cfg.length
     for _ in range(RK4_SUBSTEPS):
-        k1v = _acceleration(theta, theta_dot, f, cfg)
-        k1x = theta_dot
-        k2v = _acceleration(theta + 0.5 * h * k1x, theta_dot + 0.5 * h * k1v, f, cfg)
+        k1v = (f - fl * theta_dot - mg * np.sin(theta)) / ml
         k2x = theta_dot + 0.5 * h * k1v
-        k3v = _acceleration(theta + 0.5 * h * k2x, theta_dot + 0.5 * h * k2v, f, cfg)
+        k2v = (f - fl * k2x - mg * np.sin(theta + 0.5 * h * theta_dot)) / ml
         k3x = theta_dot + 0.5 * h * k2v
-        k4v = _acceleration(theta + h * k3x, theta_dot + h * k3v, f, cfg)
+        k3v = (f - fl * k3x - mg * np.sin(theta + 0.5 * h * k2x)) / ml
         k4x = theta_dot + h * k3v
-        theta = theta + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        k4v = (f - fl * k4x - mg * np.sin(theta + h * k3x)) / ml
+        theta = theta + (h / 6.0) * (theta_dot + 2.0 * k2x + 2.0 * k3x + k4x)
         theta_dot = theta_dot + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return theta, theta_dot
 

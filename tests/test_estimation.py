@@ -95,6 +95,14 @@ class TestBinner:
         with pytest.raises(ValueError):
             Binner(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("bins", [2.5, 3.0, None])
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(ValueError, match="whole number of bins"):
+            Binner(0.0, 1.0, bins)
+
+    def test_numpy_integer_bins_give_their_alphabet(self):
+        assert Binner(0.0, 1.0, np.int64(3)).alphabet() == Alphabet(3)
+
     @pytest.mark.parametrize(
         "low, high, message",
         [
@@ -156,6 +164,33 @@ class TestSymbolSeries:
 
     def test_len_counts_transitions(self):
         assert len(SymbolSeries([0, 1, 0], [1, 0])) == 2
+
+    @pytest.mark.parametrize(
+        "sensors, actions, message",
+        [
+            ([0.5, 1.7, 2.9], [0, 1], r"sensors\[0\] is 0.5,"),
+            ([0, 1, 2], [0.2, 1.99], r"actions\[0\] is 0.2,"),
+            (np.array([0.0, np.nan]), [1], r"sensors\[1\] is nan,"),
+            ([0, 1], [np.inf], r"actions\[0\] is inf,"),
+            ([1, 2**70], [0], r"sensors\[1\] is 1180591620717411303424,"),
+            ([0, 2.0**63], [0], r"sensors\[1\] is 9.223372036854776e\+18,"),
+            (np.array([0, 2**63], dtype=np.uint64), [0], r"sensors\[1\] is 9223372036854775808,"),
+        ],
+    )
+    def test_symbols_must_be_whole_numbers_within_int64(self, sensors, actions, message):
+        with pytest.raises(DataError, match=message + " not a whole number within int64"):
+            SymbolSeries(sensors, actions)
+
+    def test_integral_floats_and_empty_lists_are_accepted(self):
+        series = SymbolSeries([1.0, 2.0, -0.0], [3.0, 0.0])
+        np.testing.assert_array_equal(series.sensors, [1, 2, 0])
+        assert series.actions.dtype == np.int64
+        assert len(SymbolSeries([0], [])) == 0
+
+    def test_int64_symbols_are_taken_as_they_are(self):
+        sensors, actions = np.array([0, 3, 1]), np.array([2, 0])
+        series = SymbolSeries(sensors, actions)
+        assert series.sensors is sensors and series.actions is actions
 
 
 class TestEstimate:
@@ -273,6 +308,20 @@ class TestEstimateChecks:
         series = SymbolSeries(rng.integers(0, 5, 201), rng.integers(0, 4, 200))
         estimate(series, Alphabet(5), Alphabet(4))
         assert names == ["distribution", "kernel", "kernel"]
+
+    def test_composed_joint_is_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        series = SymbolSeries(rng.integers(0, 5, 201), rng.integers(0, 4, 200))
+        model = estimate(series, Alphabet(5), Alphabet(4))
+        names, check_probs = [], prob.check_probs
+
+        def counted(arr, name, whole=False):
+            names.append(name)
+            return check_probs(arr, name, whole)
+
+        monkeypatch.setattr(prob, "check_probs", counted)
+        joint_from_model(model)
+        assert names == ["joint"]
 
 
 class TestEstimateMemory:

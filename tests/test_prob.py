@@ -55,6 +55,14 @@ class TestConstructors:
         with pytest.raises(DimensionError):
             Alphabet(0)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, np.float64(3.0), "3"])
+    def test_alphabet_size_must_be_an_integer(self, size):
+        with pytest.raises(DimensionError, match="alphabet size must be an integer"):
+            Alphabet(size)
+
+    def test_alphabet_takes_numpy_integers(self):
+        assert Alphabet(np.int64(3)) == Alphabet(3)
+
     def test_distribution_rejects_negative(self):
         with pytest.raises(InvalidDistributionError):
             Distribution(B, [1.1, -0.1])
@@ -116,6 +124,14 @@ class TestComposeAndMarginal:
         kernel = Kernel3(Alphabet(3), B, B, rng.dirichlet(np.ones(2), size=(3, 2)))
         joint = compose_joint(prior, policy, kernel)
         np.testing.assert_allclose(joint.probs.sum(axis=(1, 2)), prior.probs, atol=1e-15)
+
+    def test_joint_bits_equal_compose_arrays(self, rng):
+        prior = random_distribution(rng, Alphabet(3))
+        policy = Kernel2(Alphabet(3), B, rng.dirichlet(np.ones(2), size=3))
+        kernel = Kernel3(Alphabet(3), B, Alphabet(4), rng.dirichlet(np.ones(4), size=(3, 2)))
+        joint = compose_joint(prior, policy, kernel)
+        stacked = prob.compose_arrays(prior.probs[None], policy.rows[None], kernel.entries[None])
+        assert joint.probs.tobytes() == stacked[0].tobytes()
 
     def test_alphabet_mismatch(self):
         with pytest.raises(DimensionError):

@@ -32,6 +32,7 @@ from morphocomp.rotator import (
 )
 
 CFG = RotatorConfig()
+HEAVY = RotatorConfig(friction=0.37, mass=1.3, length=0.7, gravity=9.7)
 
 
 def fine_step_reference(theta, theta_dot, f, cfg, duration, h=1e-6):
@@ -94,6 +95,54 @@ class TestDynamics:
         ref = fine_step_reference(1.0, 3.0, 4.0, cfg, 0.01)
         assert stepped[0][0] == pytest.approx(ref[0], abs=1e-8)
         assert stepped[1][0] == pytest.approx(ref[1], abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "cfg, dt, expected",
+        [
+            (CFG, 0.01, {
+                "scalar": (["0x1.0151342ba2d60p-4"], ["0x1.91ed3c236ad9fp+2"]),
+                "lanes": (
+                    ["0x1.0222e6e05865bp-4", "0x1.077a48ff6279cp+0", "-0x1.409a3de59b196p+1"],
+                    ["0x1.947c7ce6c8dd7p+2", "0x1.6bbc40f3a7d9ep+1", "-0x1.c4130c0b48f0ap-2"],
+                ),
+            }),
+            (CFG, 0.05, {
+                "scalar": (["0x1.406466550b6b0p-2"], ["0x1.8d3e31df3c573p+2"]),
+                "lanes": (
+                    ["0x1.45807efe5b101p-2", "0x1.214895db0ef99p+0", "-0x1.424505ec7bbaep+1"],
+                    ["0x1.99fe0380aaf62p+2", "0x1.19039e54a9d5bp+1", "-0x1.aef3c9a107871p-3"],
+                ),
+            }),
+            (HEAVY, 0.01, {
+                "scalar": (["0x1.00ef1d1c27a6dp-4"], ["0x1.90b3f8f4cf513p+2"]),
+                "lanes": (
+                    ["0x1.01d5532ec45d5p-4", "0x1.0769e4a243b5fp+0", "-0x1.40960fc1c9b29p+1"],
+                    ["0x1.9382f5627d7a5p+2", "0x1.6554fa456e010p+1", "-0x1.aa032c55c804bp-2"],
+                ),
+            }),
+            (HEAVY, 0.05, {
+                "scalar": (["0x1.3d96b70a0c10cp-2"], ["0x1.859e0eb76d13ap+2"]),
+                "lanes": (
+                    ["0x1.432c359d466a8p-2", "0x1.1fafab210f011p+0", "-0x1.41de50684bdaep+1"],
+                    ["0x1.93816e719f739p+2", "0x1.f2506c098425ap+0", "-0x1.612641dc0abacp-4"],
+                ),
+            }),
+        ],
+    )
+    def test_integrate_bits_are_pinned(self, cfg, dt, expected):
+        # every product and sum of the RK4 step, friction term included, in a fixed order
+        inputs = {
+            "scalar": (0.0, 2 * math.pi, 0.0),
+            "lanes": (
+                np.array([0.0, 1.0, -2.5]),
+                np.array([2 * math.pi, 3.0, -0.5]),
+                np.array([4.0, -7.5, 0.0]),
+            ),
+        }
+        for name, (theta, theta_dot, f) in inputs.items():
+            stepped = _integrate(theta, theta_dot, f, cfg, dt)
+            bits = tuple([float(x).hex() for x in np.atleast_1d(v)] for v in stepped)
+            assert bits == expected[name], name
 
     def test_energy_conserved_without_force(self):
         seconds = 50

@@ -27,7 +27,13 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__, binary, rotator
-from .estimation import Binner, estimate_arrays, read_symbol_series
+from .estimation import (
+    Binner,
+    count_transitions,
+    estimate_arrays,
+    read_symbol_series,
+    read_transition_counts,
+)
 from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
 from .prob import ComputeError
 from .rotator import RotatorConfig
@@ -39,8 +45,9 @@ ROTATOR_SWEEP_COLUMNS = ("eta", "beta", "asoc_a", "c_a", "asoc_w", "c_w", "runs"
 ETA_RANGE = (0.0, 0.5)
 BETA_RANGE = (0.0, 2.0)
 
-# |S| x |A| x |S| float64 tables `measure` holds at once at its peak (tracemalloc):
-# 3.1-3.2 in `estimate_arrays`, then 5.2 in `intrinsic_values`, the model's included
+# |S| x |A| x |S| float64 tables `measure` may hold at once.  Measured under tracemalloc,
+# 3.0-3.1 in `estimate_arrays`, the int64 counts included, then 5.2 in `intrinsic_values`,
+# the model included and the counts freed; a parsed block or the series comes on top
 PEAK_TABLES = 7
 
 
@@ -129,14 +136,16 @@ def cmd_measure(args) -> int:
             )
         if names.count(name) > 1:
             raise UsageError(f"measure {name!r} is named more than once in --measures")
-    series, s_alph, a_alph = read_symbol_series(
-        args.input,
-        sensor_binner=sensor_binner,
-        action_binner=action_binner,
-        sensor_size=args.sensor_size,
-        action_size=args.action_size,
-    )
-    needed = 8 * s_alph.size**2 * a_alph.size
+    specs = ((sensor_binner, args.sensor_size), (action_binner, args.action_size))
+    reader = {"sensor_binner": sensor_binner, "sensor_size": args.sensor_size,
+              "action_binner": action_binner, "action_size": args.action_size}
+    n_s, n_a = (size if binner is None else binner.bins for binner, size in specs)
+    series = None
+    if n_s is None or n_a is None:
+        # an inferred alphabet is sized by its largest symbol, so the whole series is read first
+        series, s_alph, a_alph = read_symbol_series(args.input, **reader)
+        n_s, n_a = s_alph.size, a_alph.size
+    needed = 8 * n_s**2 * n_a
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if PEAK_TABLES * needed > memory:
         s_from, a_from = (
@@ -144,17 +153,24 @@ def cmd_measure(args) -> int:
             else f"inferred from column {c[0]}" for c in ("sensor", "action")
         )
         raise UsageError(
-            f"a {s_alph.size} x {a_alph.size} x {s_alph.size} model (|S|: {s_from}; |A|: {a_from}) "
+            f"a {n_s} x {n_a} x {n_s} model (|S|: {s_from}; |A|: {a_from}) "
             f"needs {needed} bytes of float64, more than the {memory // PEAK_TABLES} bytes per "
             f"table with {PEAK_TABLES} tables held at once in the {memory} bytes of physical memory"
         )
-    tables = estimate_arrays(series.sensors, series.actions, s_alph.size, a_alph.size)
+    if series is None:
+        counts = read_transition_counts(args.input, **reader)
+    else:
+        counts = count_transitions(series.sensors, series.actions, n_s, n_a)
+    transitions = int(counts.sum())
+    tables = estimate_arrays(counts)
+    # the series and counts go before the measures' working tables are formed
+    del series, counts
     (values,) = checked_rows(intrinsic_values(*tables, names))
     document = {"values": values, "metadata": {
         "input": str(args.input),
-        "transitions": len(series),
-        "sensor_alphabet": s_alph.size,
-        "action_alphabet": a_alph.size,
+        "transitions": transitions,
+        "sensor_alphabet": n_s,
+        "action_alphabet": n_a,
     }}
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -228,7 +244,8 @@ def cmd_rotator_run(args) -> int:
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
     episode = rotator.run_episode(cfg)
     sensors, actions = episode.series.sensors, episode.series.actions
-    tables = estimate_arrays(sensors, actions, rotator.SENSOR_BINNER.bins, rotator.ACTION_BINNER.bins)
+    sizes = rotator.SENSOR_BINNER.bins, rotator.ACTION_BINNER.bins
+    tables = estimate_arrays(count_transitions(sensors, actions, *sizes))
     (values,) = checked_rows(intrinsic_values(*tables))
     out = _ensure_out(args)
 

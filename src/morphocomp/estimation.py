@@ -5,9 +5,12 @@ folds observations in one at a time; the closed form after n observations of
 a cell is (count + 1/|target|) / (n + 1).  Unvisited cells therefore stay
 uniform, which keeps all divergences in the measures finite.
 
-:func:`estimate_arrays` computes the model on plain arrays, as the checked
-tables that the measures' array core takes; `measure` and the rotator
-estimate and measure each episode that way, building no objects.
+The model is a function of the (S, A, S) transition counts alone
+(:func:`count_transitions`).  :func:`estimate_arrays` computes it from
+counts, as the checked tables that the measures' array core takes;
+`measure` and the rotator count and measure each episode that way,
+building no objects.  :func:`read_transition_counts` counts a CSV block by
+block as it is parsed, so its memory does not grow with the series.
 :func:`estimate` checks a series' symbols against its alphabets and builds
 the validated objects of the public API from the same unchecked tables, so
 their constructors check each table once.
@@ -133,31 +136,61 @@ class Binner:
         return Alphabet(self.bins)
 
 
-def _tables(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int):
-    """The unchecked prior (S,), policy (S,A) and world model (S,A,S) of one recording."""
-    # narrow symbols are widened for the index arithmetic; int64 ones are not copied
-    sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in (sensors, actions))
-    triples = (sensors[:-1] * n_a + actions) * n_s + sensors[1:]
-    transitions = np.bincount(triples, minlength=n_s * n_a * n_s).reshape(n_s, n_a, n_s)
-    visits_sa = transitions.sum(axis=2).astype(np.float64)
-    world = (transitions + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
+def count_transitions(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int) -> np.ndarray:
+    """The (S, A, S) int64 table of how often each transition (s, a, s') occurs in one recording.
+
+    Takes integer symbols in range(n_s) and range(n_a); actions[t] leads
+    from sensors[t] to sensors[t+1].
+    """
+    return _count_blocks([(sensors, actions)], n_s, n_a)
+
+
+def _count_blocks(blocks, n_s: int, n_a: int) -> np.ndarray:
+    """The transition counts of a series given as consecutive (sensors, actions) blocks.
+
+    A block may hold as many actions as sensors; its last action then leads
+    to the next block's first sensor, or, in the last block, to nothing and
+    is not counted.  A None in place of a block drops the counts so far
+    (see `_symbol_blocks`).
+    """
+    counts = np.zeros((n_s, n_a, n_s), dtype=np.int64)
+    edge = ()
+    for block in blocks:
+        if block is None:
+            counts[...], edge = 0, ()
+            continue
+        # narrow symbols are widened for the index arithmetic; int64 ones are not copied
+        sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in block)
+        if edge:
+            counts[(*edge, sensors[0])] += 1
+        steps = len(sensors) - 1
+        np.add.at(counts.reshape(-1), (sensors[:-1] * n_a + actions[:steps]) * n_s + sensors[1:], 1)
+        edge = (sensors[-1], actions[-1]) if len(actions) > steps else ()
+    return counts
+
+
+def _tables(counts: np.ndarray):
+    """The unchecked prior (S,), policy (S,A) and world model (S,A,S) of a count table."""
+    n_s, n_a, _ = counts.shape
+    visits_sa = counts.sum(axis=2).astype(np.float64)
+    world = (counts + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
     visits_s = visits_sa.sum(axis=1)
     policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
-    prior = (visits_s + 1.0 / n_s) / (len(actions) + 1.0)
+    prior = (visits_s + 1.0 / n_s) / (counts.sum() + 1.0)
     return prior, policy, world
 
 
-def estimate_arrays(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int):
-    """Estimate sensor prior, policy and world model from one recording.
+def estimate_arrays(counts: np.ndarray):
+    """Estimate sensor prior, policy and world model from a recording's transition counts.
 
     Every conditional cell carries a uniform pseudo-observation, so after n
     hits of a cell the estimate is (count + 1/|target|) / (n + 1); the prior
     p(s) is estimated the same way from the current-sensor stream.  Takes
-    integer symbols in range(n_s) and range(n_a), and returns the prior
+    the (S, A, S) table of :func:`count_transitions`, and returns the prior
     (1,S), policy (1,S,A) and world model (1,S,A,S), checked as
     `measures.intrinsic_values` takes them.
     """
-    tables = zip(_tables(sensors, actions, n_s, n_a), ("distribution", "kernel", "kernel"))
+    tables = zip(_tables(counts), ("distribution", "kernel", "kernel"))
     return tuple(check_probs(table[None], name) for table, name in tables)
 
 
@@ -170,7 +203,8 @@ def estimate(
         if len(symbols) and int(symbols.max()) >= alphabet.size:
             top = int(symbols.max())
             raise DataError(f"{what} symbol {top} outside alphabet of size {alphabet.size}")
-    prior, policy, world = _tables(series.sensors, series.actions, s.size, a.size)
+    counts = count_transitions(series.sensors, series.actions, s.size, a.size)
+    prior, policy, world = _tables(counts)
     return IntrinsicModel(Distribution(s, prior), Kernel2(s, a, policy), Kernel3(s, a, s, world))
 
 
@@ -193,15 +227,39 @@ def read_symbol_series(
     The last row may leave `a` empty to record the final sensor reading;
     otherwise the trailing action has no observed successor and is dropped.
 
-    A well-formed file is parsed by numpy's C reader, `BLOCK_ROWS` lines at
-    a time, each block binned straight into the int64 symbol arrays, so the
-    reader holds little more than the 16 bytes per row of the series.  Any
-    other file goes through the row loop, whose DataError names the file
-    line at fault.
+    The series is joined from the checked symbol blocks of
+    `_symbol_blocks`, one column at a time, so the reader peaks at about
+    25 bytes per row: the blocks' 16, one joined int64 column's 8 and the
+    parse of one block.  A malformed file raises a DataError naming the
+    file line at fault.
     """
-    path = Path(path)
     specs = ((sensor_binner, sensor_size), (action_binner, action_size))
-    return _series(_read_fast(path, specs) or _read_rows(path, specs), specs)
+    blocks = list(_symbol_blocks(Path(path), specs))
+    # after a None, the row loop's one block holds the whole file
+    sensors, actions = zip(*(blocks[-1:] if None in blocks else blocks))
+    del blocks
+    # rebinding frees the sensor blocks before the actions are joined
+    sensors = np.concatenate(sensors)
+    return _series((sensors, np.concatenate(actions)), specs)
+
+
+def read_transition_counts(
+    path,
+    sensor_binner: Binner | None = None,
+    action_binner: Binner | None = None,
+    sensor_size: int | None = None,
+    action_size: int | None = None,
+) -> np.ndarray:
+    """The :func:`count_transitions` table of a `t,s,a` CSV, counted block by block as it is parsed.
+
+    Takes the options of :func:`read_symbol_series`, but each column needs
+    a binner or an alphabet size, which sizes the table before the file is
+    read.  The reader holds the table and one block of `BLOCK_ROWS` lines,
+    however long the file.
+    """
+    specs = ((sensor_binner, sensor_size), (action_binner, action_size))
+    n_s, n_a = (size if binner is None else binner.bins for binner, size in specs)
+    return _count_blocks(_symbol_blocks(Path(path), specs), n_s, n_a)
 
 
 def _series(columns, specs):
@@ -236,30 +294,30 @@ def _accepted(values, binner, size) -> bool:
     return not len(values) or (values.min() >= 0 and (size is None or values.max() < size))
 
 
-def _read_fast(path, specs):
-    """Sensor and action symbols of a well-formed file, parsed by `np.loadtxt`.
+def _symbol_blocks(path, specs):
+    """Checked (sensors, actions) symbol blocks of a file, in file order.
 
-    Returns None, leaving the file to the row loop, if `_scan` declines the
-    file, a row is short or whitespace-only, a cell is one loadtxt cannot
-    parse, or a value is one the row loop rejects.  Each parsed block is
-    checked, then binned into symbol arrays sized by the scan's line count.
+    A well-formed file is parsed by `np.loadtxt`, a block per `BLOCK_ROWS`
+    lines, each checked and binned on its own.  The fast path declines a
+    file if `_scan` does, a row is short or whitespace-only, a cell is one
+    loadtxt cannot parse, or a value is one the row loop rejects.  It may
+    do so after some blocks, so it then yields None, telling the consumer
+    to drop what it took, and the row loop's columns as one block; the row
+    loop's DataError names the file line at fault.
     """
     try:
         scanned = _scan(path)
-        if scanned is None:
-            return None
-        symbols = np.empty((len(specs), scanned[0]), dtype=np.int64)
-        ends = [0] * len(specs)
-        for block in _value_blocks(path, *scanned, specs):
-            for column, (values, (binner, size)) in enumerate(zip(block, specs)):
-                if not _accepted(values, binner, size):
-                    return None
-                start = ends[column]
-                ends[column] += len(values)
-                symbols[column, start : ends[column]] = _symbols(values, binner)
+        if scanned is not None:
+            for block in _value_blocks(path, *scanned, specs):
+                if not all(_accepted(values, *spec) for values, spec in zip(block, specs)):
+                    break
+                yield tuple(_symbols(values, binner) for values, (binner, _) in zip(block, specs))
+            else:
+                return
     except ValueError:
-        return None
-    return tuple(row[:end] for row, end in zip(symbols, ends))
+        pass
+    yield None
+    yield _read_rows(path, specs)
 
 
 def _scan(path):
@@ -271,7 +329,7 @@ def _scan(path):
     only the last two chunks are held.
     """
     # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         lines, previous, tail = 0, "", ""
         for chunk in iter(partial(handle.read, SCAN_CHUNK), ""):
             if '"' in chunk:
@@ -304,7 +362,7 @@ def _value_blocks(path, rows, last, specs):
     if final_blank:
         last = [*last[:2], "0", *last[3:]]
     kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         handle.readline()
         lines = chain(islice(handle, rows - 1), [",".join(last)])
         for start in range(0, rows, BLOCK_ROWS):
@@ -337,7 +395,7 @@ def _row_values(path, specs):
     linenos: list[int] = []
     sensor_raw: list[str] = []
     action_raw: list[str] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

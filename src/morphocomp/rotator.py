@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import Binner, DataError, SymbolSeries, estimate_arrays
+from .estimation import Binner, DataError, SymbolSeries, count_transitions, estimate_arrays
 from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
 from .prob import Alphabet, ComputeError
 
@@ -247,7 +247,8 @@ def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
             actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
     values = np.empty((len(lanes), len(INTRINSIC_MEASURES)))
     for i, (s, a) in enumerate(zip(sensors, actions)):
-        measured = intrinsic_values(*estimate_arrays(s, a, SENSOR_BINNER.bins, ACTION_BINNER.bins))
+        counts = count_transitions(s, a, SENSOR_BINNER.bins, ACTION_BINNER.bins)
+        measured = intrinsic_values(*estimate_arrays(counts))
         values[i] = [measured[name][0] for name in INTRINSIC_MEASURES]
     return values
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,6 +121,32 @@ class TestMeasureCommand:
         path = self.make_uniform_series(tmp_path, n=50)
         code = run_cli("measure", "--input", str(path), "--sensor-bins", "0:8")
         assert code == 2
+
+
+class TestMeasureMemory:
+    """With both alphabets sized by flags, `measure` holds the counts and one block, not the series."""
+
+    @staticmethod
+    def peak(tmp_path, rows):
+        rng = np.random.default_rng(0)
+        sensors, actions = rng.uniform(0.0, 8.0, rows).tolist(), rng.uniform(-1.0, 1.0, rows).tolist()
+        path = tmp_path / f"series-{rows}.csv"
+        body = "".join(f"{t},{s!r},{a!r}\n" for t, (s, a) in enumerate(zip(sensors, actions)))
+        path.write_text("t,s,a\n" + body)
+        flags = ["--sensor-bins", "0:8:30", "--action-bins=-1:1:30"]
+        tracemalloc.start()
+        try:
+            code = run_cli("measure", "--input", str(path), *flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_peak_does_not_grow_with_the_series(self, tmp_path, capsys):
+        small, large = (self.peak(tmp_path, rows) for rows in (20_000, 200_000))
+        # the series alone would take 16 bytes a row, 2.9 MB more on the larger file
+        assert abs(large - small) < 1_000_000
 
 
 class TestBinarySweepCommand:
@@ -451,15 +478,26 @@ class TestBadInputExitsTwo:
         assert error.startswith(f"error: a {table} bytes of float64, more than the ")
         assert error.endswith(" bytes of physical memory")
 
+    def test_model_beyond_memory_is_rejected_before_the_file_is_read(self, tmp_path, capsys):
+        # reading the file would end in the DataError of line 2
+        series = write_series(tmp_path / "series.csv", ["0,x,1", "1,2,0", "2,1,"])
+        flags = ["--sensor-bins", "0:1:3000", "--action-bins=-1:1:3000"]
+        assert run_cli("measure", "--input", str(series), *flags) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(
+            "error: a 3000 x 3000 x 3000 model (|S|: --sensor-bins; |A|: --action-bins) "
+            "needs 216000000000 bytes of float64, more than the "
+        )
+
     def test_model_within_memory_reaches_the_estimator(self, tmp_path, capsys, monkeypatch):
         # a 5,001-symbol inferred alphabet needs 400 MB a table, 2.8 GB at the
         # peak of 7 tables, within this test's machines' memory
         series = write_series(tmp_path / "series.csv", ["0,5000,1", "1,0,0", "2,1,"])
 
-        def estimate_arrays(sensors, actions, n_s, n_a):
+        def count_transitions(sensors, actions, n_s, n_a):
             raise ConsistencyError(f"reached with {n_s} x {n_a}")
 
-        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
+        monkeypatch.setattr(cli, "count_transitions", count_transitions)
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 5001 x 2\n"
 
@@ -477,7 +515,7 @@ class TestBadInputExitsTwo:
     ):
         # one 3 x 2 x 3 table takes 144 bytes, and measure holds 7 at once: 1,008
         self.physical_memory(monkeypatch, memory)
-        monkeypatch.setattr(cli, "estimate_arrays", None)
+        monkeypatch.setattr(cli, "count_transitions", None)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 2
         assert capsys.readouterr().err == (
@@ -491,23 +529,23 @@ class TestBadInputExitsTwo:
     ):
         self.physical_memory(monkeypatch, 7 * 144)
 
-        def estimate_arrays(sensors, actions, n_s, n_a):
+        def count_transitions(sensors, actions, n_s, n_a):
             raise ConsistencyError(f"reached with {n_s} x {n_a}")
 
-        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
+        monkeypatch.setattr(cli, "count_transitions", count_transitions)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 3 x 2\n"
 
     @pytest.mark.parametrize("numpy_error", [True, False], ids=["numpy-allocation", "bare"])
     def test_memory_error_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch, numpy_error):
-        def estimate_arrays(sensors, actions, n_s, n_a):
+        def count_transitions(sensors, actions, n_s, n_a):
             # 8 PiB is beyond any address space, so the request fails at once
             if numpy_error:
                 np.empty(1 << 50)
             raise MemoryError
 
-        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
+        monkeypatch.setattr(cli, "count_transitions", count_transitions)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 2
         expected = "error: out of memory"

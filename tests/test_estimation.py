@@ -5,6 +5,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -20,10 +21,12 @@ from morphocomp.estimation import (
     Binner,
     DataError,
     SymbolSeries,
+    count_transitions,
     estimate,
     estimate_arrays,
     joint_from_model,
     read_symbol_series,
+    read_transition_counts,
 )
 from morphocomp.measures import IntrinsicModel
 from morphocomp.prob import Alphabet, Distribution, Kernel2, Kernel3
@@ -287,7 +290,7 @@ class TestEstimateArrays:
         actions = rng.integers(0, rng.integers(1, n_a + 1), steps).astype(dtype)
         model = estimate(SymbolSeries(sensors, actions), Alphabet(n_s), Alphabet(n_a))
         tables = (model.sensor_prior.probs, model.policy.rows, model.world_model.entries)
-        arrays = estimate_arrays(sensors, actions, n_s, n_a)
+        arrays = estimate_arrays(count_transitions(sensors, actions, n_s, n_a))
         assert len(arrays) == len(tables)
         for array, table in zip(arrays, tables):
             assert array.shape == (1, *table.shape)
@@ -483,6 +486,20 @@ class TestCsv:
         assert main(["measure", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # a quoted cell hands the file to the row loop
+    @pytest.mark.parametrize("t", ["0", '"0"'], ids=["c-reader", "row-loop"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys, t):
+        path = tmp_path / "series.csv"
+        path.write_bytes(f"\ufefft,s,a\n{t},1,1\n1,2,\n".encode())
+        assert (fast_columns(path, {}) is None) == (t != "0")
+        series, sensor_alphabet, action_alphabet = read_symbol_series(path)
+        np.testing.assert_array_equal(series.sensors, [1, 2])
+        np.testing.assert_array_equal(series.actions, [1])
+        assert (sensor_alphabet.size, action_alphabet.size) == (3, 2)
+        assert main(["measure", "--input", str(path), "--sensor-size", "3"]) == 0
+        assert main(["measure", "--input", str(path)]) == 0
+        assert "error" not in capsys.readouterr().err
+
 
 SENSOR_BINNER = Binner(0.0, 8.0, 30)
 ACTION_BINNER = Binner(-1.0, 1.0, 30)
@@ -518,7 +535,13 @@ def outcome(read, path, options):
 
 
 def fast_columns(path, options):
-    return estimation._read_fast(Path(path), column_specs(options))
+    """The symbol columns the C reader takes from a file, or None if it hands the file on."""
+    blocks = []
+    for block in estimation._symbol_blocks(Path(path), column_specs(options)):
+        if block is None:
+            return None
+        blocks.append(block)
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 class TestFastPath:
@@ -593,6 +616,56 @@ class TestFastPath:
         np.testing.assert_array_equal(series.actions, [1] * block_rows)
 
 
+def write_symbols(path, sensors, actions):
+    """A t,s,a file of integer symbols; the last row leaves `a` blank if there is one action fewer."""
+    cells = [*map(str, actions), *[""] * (len(sensors) - len(actions))]
+    path.write_text("t,s,a\n" + "".join(f"{t},{s},{a}\n" for t, (s, a) in enumerate(zip(sensors, cells))))
+
+
+class TestTransitionCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_s=st.integers(1, 6),
+        n_a=st.integers(1, 6),
+        symbols=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40),
+        final_blank=st.booleans(),
+    )
+    def test_block_sums_equal_the_whole_series_count(self, n_s, n_a, symbols, final_blank):
+        sensors = [s % n_s for s, _ in symbols]
+        # a file whose last action is not blank ends in an action with no successor
+        actions = [a % n_a for _, a in symbols][: len(symbols) - final_blank]
+        whole = count_transitions(np.array(sensors), np.array(actions[: len(sensors) - 1]), n_s, n_a)
+        # the transition triples counted one by one, as the oracle
+        expected = np.zeros((n_s, n_a, n_s), dtype=np.int64)
+        for transition, count in Counter(zip(sensors, actions, sensors[1:])).items():
+            expected[transition] = count
+        assert whole.dtype == np.int64
+        np.testing.assert_array_equal(whole, expected)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            write_symbols(path, sensors, actions)
+            for block_rows in (1, 2, 8_192):
+                with mock.patch.object(estimation, "BLOCK_ROWS", block_rows):
+                    counts = read_transition_counts(path, sensor_size=n_s, action_size=n_a)
+                assert counts.dtype == np.int64
+                np.testing.assert_array_equal(counts, whole)
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    def test_a_file_declined_past_its_first_block_is_counted_once(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # the C reader takes the first blocks, then declines the underscore on line 5
+        monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
+        path = tmp_path / "series.csv"
+        path.write_text("t,s,a\n0,0,1\n1,1,0\n2,0,1\n3,1_0,0\n4,2,\n")
+        series, _, _ = read_symbol_series(path)
+        np.testing.assert_array_equal(series.sensors, [0, 1, 0, 10, 2])
+        counts = read_transition_counts(path, sensor_size=11, action_size=2)
+        whole = count_transitions(series.sensors, series.actions, 11, 2)
+        np.testing.assert_array_equal(counts, whole)
+        assert counts.sum() == 4
+
+
 class TestReaderMemory:
     ROWS = 200_000
 
@@ -636,7 +709,6 @@ FALLBACKS = {
     "short-row": ("t,s,a\n0,1,1\n1,2\n2,1,\n", {}),
     "header-only": ("t,s,a\n", {}),
     "bad-header": ("t,x,a\n0,1,1\n1,2,\n", {}),
-    "byte-order-mark": ("\ufefft,s,a\n0,1,1\n1,2,\n", {}),
     "underscore-in-number": ("t,s,a\n0,1_0,1\n1,2,\n", {}),
     "float-in-integer-column": ("t,s,a\n0,3.0,1\n1,2,\n", {}),
     "integer-beyond-int64": ("t,s,a\n0,99999999999999999999,1\n1,2,\n", {}),
@@ -819,6 +891,7 @@ class TestFastMatchesRowLoop:
             event("row loop raised" if isinstance(expected, str) else "row loop read it")
             event("fast path declined" if columns is None else "fast path read it")
             assert outcome(read_symbol_series, path, options) == expected
+            self.check_counts(path, options, expected)
             if columns is not None:
                 specs = column_specs(options)
                 # the C reader's values are the row loop's, bit for bit, and so are the symbols
@@ -831,3 +904,26 @@ class TestFastMatchesRowLoop:
                 with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
                     assert main(["measure", "--input", str(path), *cli_flags(options)]) == 2
                 assert stderr.getvalue().splitlines()[-1] == f"error: {expected}"
+
+    @staticmethod
+    def check_counts(path, options, expected):
+        """`measure`'s block-wise counts are the row loop's series counted whole, or its error."""
+        columns = ("sensor", "action")
+        if isinstance(expected, str):
+            # the counting reader takes a file only with both alphabet sizes known
+            if all({f"{name}_binner", f"{name}_size"} & options.keys() for name in columns):
+                with pytest.raises(DataError) as exc_info:
+                    read_transition_counts(path, **options)
+                assert str(exc_info.value) == expected
+            return
+        sensors, actions, n_s, n_a = expected
+        # each integer column's alphabet gets the size the row loop gave it
+        sized = dict(options)
+        for name, size in zip(columns, (n_s, n_a)):
+            if f"{name}_binner" not in options:
+                sized[f"{name}_size"] = size
+        whole = count_transitions(np.array(sensors), np.array(actions, dtype=np.int64), n_s, n_a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = read_transition_counts(path, **sized)
+        assert counts.tobytes() == whole.tobytes()

@@ -60,10 +60,12 @@ def _check_params(phi, psi, zeta, mu, tau) -> None:
             raise ValueError(f"{name} must be {requirement}, got {values[bad][0]:g}")
 
 
-def _softmax_last(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+def _two_point(x: np.ndarray) -> np.ndarray:
+    """Softmax of the logits (-x, x) on a new last axis; weights 1 and exp(-2|x|) cannot overflow."""
+    with np.errstate(over="ignore"):
+        small = np.exp(-2.0 * np.abs(x))
+    pair = np.stack([small, np.ones_like(small)], axis=-1) / (1.0 + small)[..., None]
+    return np.where(x[..., None] >= 0, pair, pair[..., ::-1])
 
 
 def kernel_arrays(phi, psi, zeta, mu, tau):
@@ -75,14 +77,13 @@ def kernel_arrays(phi, psi, zeta, mu, tau):
     params = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (phi, psi, zeta, mu, tau))
     phi, psi, zeta, mu, tau = np.broadcast_arrays(*params)
     w = SIGNS
-    world_logits = (
-        phi[:, None, None, None] * w * w[:, None, None]
-        + psi[:, None, None, None] * w * w[:, None]
-    )
-    alpha = check_probs(_softmax_last(world_logits), "kernel")
-    beta = check_probs(_softmax_last(zeta[:, None, None] * w * w[:, None]), "kernel")
-    pi = check_probs(_softmax_last(mu[:, None, None] * w * w[:, None]), "kernel")
-    p_w = check_probs(_softmax_last(tau[:, None] * w), "distribution")
+    # two couplings may sum to an infinite logit, whose limit _two_point takes exactly
+    with np.errstate(over="ignore"):
+        world_logit = phi[:, None, None] * w[:, None] + psi[:, None, None] * w
+    alpha = check_probs(_two_point(world_logit), "kernel")
+    beta = check_probs(_two_point(zeta[:, None] * w), "kernel")
+    pi = check_probs(_two_point(mu[:, None] * w), "kernel")
+    p_w = check_probs(_two_point(tau), "distribution")
     return alpha, beta, pi, p_w
 
 

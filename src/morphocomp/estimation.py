@@ -23,8 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,6 @@ from .measures import IntrinsicModel
 from .prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3, check_probs, compose_joint
 
 
-# characters per read when the CSV fast path scans a file for quotes and line ends;
-# a text read holds several copies of its chunk at once (bytes, decoded, newline-translated)
-SCAN_CHUNK = 1 << 18
 # data lines per np.loadtxt call when the fast path parses a file.  A block
 # holds its lines, parsed values and binning temporaries at once, about 230
 # bytes a line, while each call costs about 60 us beyond its lines: 8,192
@@ -297,76 +293,61 @@ def _accepted(values, binner, size) -> bool:
 def _symbol_blocks(path, specs):
     """Checked (sensors, actions) symbol blocks of a file, in file order.
 
-    A well-formed file is parsed by `np.loadtxt`, a block per `BLOCK_ROWS`
-    lines, each checked and binned on its own.  The fast path declines a
-    file if `_scan` does, a row is short or whitespace-only, a cell is one
-    loadtxt cannot parse, or a value is one the row loop rejects.  It may
-    do so after some blocks, so it then yields None, telling the consumer
-    to drop what it took, and the row loop's columns as one block; the row
-    loop's DataError names the file line at fault.
+    A well-formed file is parsed by `np.loadtxt` in one pass, a block per
+    `BLOCK_ROWS` lines, each checked and binned on its own.  The fast path
+    declines a file if `_value_blocks` raises ValueError or a value is one
+    the row loop rejects.  It may do so after some blocks, so it then
+    yields None, telling the consumer to drop what it took, and the row
+    loop's columns as one block; the row loop's DataError names the file
+    line at fault.
     """
     try:
-        scanned = _scan(path)
-        if scanned is not None:
-            for block in _value_blocks(path, *scanned, specs):
-                if not all(_accepted(values, *spec) for values, spec in zip(block, specs)):
-                    break
-                yield tuple(_symbols(values, binner) for values, (binner, _) in zip(block, specs))
-            else:
-                return
+        for block in _value_blocks(path, specs):
+            if not all(_accepted(values, *spec) for values, spec in zip(block, specs)):
+                break
+            yield tuple(_symbols(values, binner) for values, (binner, _) in zip(block, specs))
+        else:
+            return
     except ValueError:
         pass
     yield None
     yield _read_rows(path, specs)
 
 
-def _scan(path):
-    """The data-line count and last-line cells of a file `np.loadtxt` may parse.
+def _value_blocks(path, specs):
+    """Sensor and action values of a file's data lines, `BLOCK_ROWS` lines per loadtxt call.
 
-    Returns None if the file holds a quote (csv splits quoted cells,
-    loadtxt does not), a bad header, no data line, or a blank or short
-    last line.  The text is read `SCAN_CHUNK` characters at a time, and
-    only the last two chunks are held.
+    The file is read once, holding one block and the line after it; an
+    empty read past a block marks it the last.  The last line's action may
+    be blank, so it is parsed with that cell set to 0, which is then
+    dropped.  A block of blank lines alone, which loadtxt skips, yields
+    nothing.  Raises ValueError, handing the file to the row loop, on a
+    quote (csv splits quoted cells, loadtxt does not), a header other than
+    `t,s,a`, no data line, a blank, whitespace-only or short last line, or
+    a row or cell loadtxt cannot parse.
     """
+    kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
     # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
     with path.open(encoding="utf-8-sig") as handle:
-        lines, previous, tail = 0, "", ""
-        for chunk in iter(partial(handle.read, SCAN_CHUNK), ""):
-            if '"' in chunk:
-                return None
-            lines += chunk.count("\n")
-            previous, tail = tail, chunk
-        lines += not tail.endswith("\n")
-        # the last line is whole in the last two chunks unless it is
-        # longer than a chunk; then they hold no line end before it
-        body = (previous + tail).removesuffix("\n")
-        if lines < 2 or "\n" not in body:
-            return None
-        last = body[body.rfind("\n") + 1 :].split(",")
-        handle.seek(0)
-        header = handle.readline().split(",")
-    if len(last) < 3 or [cell.strip().lower() for cell in header[:3]] != ["t", "s", "a"]:
-        return None
-    return lines - 1, last
-
-
-def _value_blocks(path, rows, last, specs):
-    """Sensor and action values of the `rows` data lines, `BLOCK_ROWS` lines per loadtxt call.
-
-    `last` holds the cells of the last line.  Its action may be blank, so
-    it is parsed with that cell set to 0, which is then dropped.  A block of
-    blank lines alone, which loadtxt skips, yields nothing.  Raises
-    ValueError on a row or cell loadtxt cannot parse.
-    """
-    final_blank = not last[2].strip()
-    if final_blank:
-        last = [*last[:2], "0", *last[3:]]
-    kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
-    with path.open(encoding="utf-8-sig") as handle:
-        handle.readline()
-        lines = chain(islice(handle, rows - 1), [",".join(last)])
-        for start in range(0, rows, BLOCK_ROWS):
-            block = list(islice(lines, BLOCK_ROWS))
+        header, pending = handle.readline(), handle.readline()
+        names = [cell.strip().lower() for cell in header.split(",")[:3]]
+        if '"' in header or names != ["t", "s", "a"] or not pending:
+            raise ValueError("no t,s,a header with a data line after it")
+        while pending:
+            # rebinding first frees the previous block's lines, so one block is held at a time
+            block = [pending]
+            block += islice(handle, BLOCK_ROWS - 1)
+            pending = handle.readline()
+            if '"' in "".join(block):
+                raise ValueError("quoted cell")
+            final_blank = False
+            if not pending:
+                last = block[-1].split(",")
+                if len(last) < 3:
+                    raise ValueError("blank or short last line")
+                final_blank = not last[2].strip()
+                if final_blank:
+                    block[-1] = ",".join([*last[:2], "0", *last[3:]])
             if block.count("\n") == len(block):
                 # loadtxt would warn that it found no data
                 continue
@@ -378,8 +359,7 @@ def _value_blocks(path, rows, last, specs):
                 comments=None,
                 ndmin=1,
             )
-            final = final_blank and start + BLOCK_ROWS >= rows
-            yield values["s"], values["a"][:-1] if final else values["a"]
+            yield values["s"], values["a"][:-1] if final_blank else values["a"]
 
 
 def _read_rows(path, specs):

@@ -200,6 +200,19 @@ class TestMeasureSurfaces:
         assert point["mc_a"] == pytest.approx(1.0, abs=1e-12)
         assert point["mc_w"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("zeta, tau", [(20.0, 0.0), (1.0, 0.5), (1e308, 0.0)])
+    def test_couplings_near_the_float_limit_measure_in_range_without_warning(self, zeta, tau):
+        # twice 8.99e307 overflows, and so do the sums of two of these couplings
+        grid = (0.0, 1.0, 8.99e307, 1e308, 1.79e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = list(sweep(grid, grid, grid, zeta=zeta, tau=tau))
+        assert len(reports) == 125
+        for report in reports:
+            assert all(0.0 <= report[name] <= 1.0 for name in SWEPT)
+            # rounding alone puts c_w up to 2.2e-16 above asoc_w at (0, 0, 0), zeta 1, tau 0.5
+            assert report["c_w"] <= report["asoc_w"] + 1e-12
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep((), (0.0,), (0.0,))

@@ -218,6 +218,20 @@ class TestBinarySweepCommand:
         assert float(row["mc_a"]) == pytest.approx(1.0, abs=1e-12)
         assert float(row["mc_w"]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "couplings",
+        [("1", "1", "1e308"), ("1e308", "1e308", "1")],
+        ids=["overflowing-spread", "overflowing-sum"],
+    )
+    def test_couplings_near_the_float_limit_exit_zero(self, tmp_path, capsys, couplings):
+        phi, psi, mu = couplings
+        out = tmp_path / "sweep"
+        argv = ["binary-sweep", "--phi", phi, "--psi", psi, "--mu", mu, "--out", str(out)]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = self.read_rows(out / "binary_sweep.csv")
+        assert all(0.0 <= float(row[name]) <= 1.0 for name in cli.BINARY_SWEEP_COLUMNS[3:])
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep"
         run_cli(

@@ -472,11 +472,11 @@ class TestCsv:
 
 
     @pytest.mark.parametrize(
-        "rows_before, newline", [(0, "\n"), (200_000, "\r\n")], ids=["line-2", "past-first-scan-chunk"]
+        "rows_before, newline", [(0, "\n"), (200_000, "\r\n")], ids=["line-2", "past-first-block"]
     )
     def test_invalid_utf8_names_its_line(self, tmp_path, capsys, rows_before, newline):
         body = "".join(f"{t},1,0{newline}" for t in range(rows_before))
-        assert rows_before == 0 or len(body) > estimation.SCAN_CHUNK
+        assert rows_before == 0 or rows_before > estimation.BLOCK_ROWS
         path = tmp_path / "series.csv"
         path.write_bytes(f"t,s,a{newline}{body}".encode() + b"0,\xff1,0\n1,2,\n")
         message = f"{path}:{rows_before + 2}: not valid UTF-8"
@@ -743,16 +743,6 @@ class TestFallback:
         np.testing.assert_array_equal(series.sensors, SENSOR_BINNER.index([9.0, 2.0]))
         np.testing.assert_array_equal(series.actions, ACTION_BINNER.index([0.5]))
 
-    def test_last_line_longer_than_two_scan_chunks(self, tmp_path, monkeypatch):
-        # the last two 4-character chunks hold only "7,7,7,7" of the last line
-        monkeypatch.setattr(estimation, "SCAN_CHUNK", 4)
-        path = tmp_path / "series.csv"
-        path.write_text("t,s,a\n0,1,1\n1,2,0,7,7,7,7")
-        assert fast_columns(path, {}) is None
-        series, _, _ = read_symbol_series(path)
-        np.testing.assert_array_equal(series.sensors, [1, 2])
-        np.testing.assert_array_equal(series.actions, [1])
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -761,14 +751,51 @@ class TestFallback:
             "t,s,a\r0,1,1\r1,2,0\r\n2,0,",
             "T , S,A,extra\n0, 1 ,+1,9,9\n1,2,0\n2,0,1,x\n",
             "t,s,a\n0,1,1\n1,2, \t\n",
+            "t,s,a\n0,1,1\n1,2,0,7,7,7,7",
         ],
-        ids=["blank-rows", "crlf", "lone-cr", "spaces-signs-extra-columns", "final-action-spaces"],
+        ids=[
+            "blank-rows",
+            "crlf",
+            "lone-cr",
+            "spaces-signs-extra-columns",
+            "final-action-spaces",
+            "long-last-line",
+        ],
     )
     def test_tolerated_layouts_stay_on_the_c_path(self, tmp_path, text):
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode())
         assert fast_columns(path, {}) is not None
         assert outcome(read_symbol_series, path, {}) == outcome(read_by_row_loop, path, {})
+
+
+class TestOneRead:
+    """`measure` reads a file the C reader takes in one pass; the row loop reads a declined one again."""
+
+    @pytest.mark.parametrize(
+        "text, options, opens",
+        [
+            # with an inferred alphabet `measure` reads the series, with both sizes given it counts it
+            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {}, 1),
+            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor_size": 3, "action_size": 2}, 1),
+            (*FALLBACKS["quoted-cell-with-comma"], 2),
+        ],
+        ids=["c-reader-series", "c-reader-counts", "declined"],
+    )
+    def test_measure_opens_its_input(self, tmp_path, capsys, text, options, opens):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        opened = []
+        original = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self == path:
+                opened.append(args)
+            return original(self, *args, **kwargs)
+
+        with mock.patch.object(Path, "open", counting_open):
+            assert main(["measure", "--input", str(path), *cli_flags(options)]) == 0
+        assert len(opened) == opens
 
 
 INTEGER_ODDITIES = [
@@ -895,7 +922,7 @@ class TestFastMatchesRowLoop:
             if columns is not None:
                 specs = column_specs(options)
                 # the C reader's values are the row loop's, bit for bit, and so are the symbols
-                blocks = estimation._value_blocks(path, *estimation._scan(path), specs)
+                blocks = estimation._value_blocks(path, specs)
                 parsed = [np.concatenate(parts) for parts in zip(*blocks)]
                 assert_same_bits(parsed, estimation._row_values(path, specs))
                 assert_same_bits(columns, estimation._read_rows(path, specs))

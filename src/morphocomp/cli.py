@@ -279,12 +279,12 @@ def cmd_rotator_run(args) -> int:
 
 
 def cmd_rotator_sweep(args) -> int:
+    cfg = _rotator_config(args)
+    rows = rotator.sweep(args.eta_grid, args.beta_grid, args.runs, cfg)  # checks the grid first
     for eta in args.eta_grid:
         _warn_soft_range("eta", eta, *ETA_RANGE)
     for beta in args.beta_grid:
         _warn_soft_range("beta", beta, *BETA_RANGE)
-    cfg = _rotator_config(args)
-    rows = rotator.sweep(args.eta_grid, args.beta_grid, args.runs, cfg)
     out = _ensure_out(args)
     table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, rows)
     _write_manifest(

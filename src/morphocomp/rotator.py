@@ -80,6 +80,8 @@ class RotatorConfig:
             raise ValueError("steps must be at least 1")
         if self.eta < 0 or self.beta < 0:
             raise ValueError("eta and beta must be non-negative")
+        if not math.isfinite(2.0 * self.eta * self.theta_dot_target):
+            raise ValueError(f"noise span 2 * eta * theta_dot_target overflows at eta = {self.eta!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -129,22 +131,48 @@ def load_config(path) -> RotatorConfig:
 def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float):
     """Advance (theta, theta_dot) by dt under constant force f.  Array-safe.
 
-    RK4 on theta' = theta_dot: each stage's velocity kx is both the angle's
-    slope and the velocity at which the next stage's acceleration kv is taken.
+    RK4 on theta' = theta_dot: each stage's velocity is both the angle's
+    slope and the velocity at which that stage's acceleration is taken, so
+    a stage's (velocity, acceleration) rows are its slope k of the state
+    y = (theta, theta_dot).  A stage's acceleration is
+    ((f - fl*v) - mg*sin(angle)) / ml, the next stage is y + c*k, and a
+    substep ends at y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4), each rounded in
+    that order.  Every substep writes into buffers made once per call.
     """
     h = dt / RK4_SUBSTEPS
     fl, mg, ml = cfg.friction * cfg.length, cfg.mass * cfg.gravity, cfg.mass * cfg.length
+    # 0-d arrays, as a ufunc converts a Python float operand on every call
+    fl, mg, ml, half, whole, two, sixth = map(np.array, (fl, mg, ml, 0.5 * h, h, 2.0, h / 6.0))
+    lanes = np.broadcast(theta, theta_dot, f).shape
+    stages = np.empty((4, 3, *lanes))  # per stage: angle, velocity, acceleration
+    y, slopes = stages[0, :2], stages[:, 1:]
+    y[0], y[1] = theta, theta_dot
+    k1, k2, k3, k4 = slopes
+    rows = [[stages[n, i, ...] for i in range(3)] for n in range(4)]  # `...`: 0-d views with no lanes
+    moves = [(c, slopes[n], stages[n + 1, :2]) for n, c in enumerate((half, half, whole))]
+    # the acceleration passes between buffers: numpy is slow to write one element over its input
+    drag, net, sine = (np.empty(lanes) for _ in range(3))
+    step, total = np.empty((2, 2, *lanes))
     for _ in range(RK4_SUBSTEPS):
-        k1v = (f - fl * theta_dot - mg * np.sin(theta)) / ml
-        k2x = theta_dot + 0.5 * h * k1v
-        k2v = (f - fl * k2x - mg * np.sin(theta + 0.5 * h * theta_dot)) / ml
-        k3x = theta_dot + 0.5 * h * k2v
-        k3v = (f - fl * k3x - mg * np.sin(theta + 0.5 * h * k2x)) / ml
-        k4x = theta_dot + h * k3v
-        k4v = (f - fl * k4x - mg * np.sin(theta + h * k3x)) / ml
-        theta = theta + (h / 6.0) * (theta_dot + 2.0 * k2x + 2.0 * k3x + k4x)
-        theta_dot = theta_dot + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return theta, theta_dot
+        for (angle, v, a), move in zip_longest(rows, moves):
+            np.multiply(fl, v, out=drag)
+            np.subtract(f, drag, out=net)
+            np.sin(angle, out=sine)
+            np.multiply(mg, sine, out=drag)
+            np.subtract(net, drag, out=sine)
+            np.divide(sine, ml, out=a)
+            if move:
+                c, slope, following = move
+                np.multiply(c, slope, out=step)
+                np.add(y, step, out=following)
+        np.multiply(two, k2, out=total)
+        np.add(k1, total, out=total)
+        np.multiply(two, k3, out=step)
+        np.add(total, step, out=total)
+        np.add(total, k4, out=total)
+        np.multiply(sixth, total, out=total)
+        np.add(y, total, out=y)
+    return y[0], y[1]
 
 
 def control_force(sensor, cfg: RotatorConfig, beta):

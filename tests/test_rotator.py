@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from morphocomp import rotator
 from morphocomp.cli import main
@@ -53,6 +54,23 @@ def fine_step_reference(theta, theta_dot, f, cfg, duration, h=1e-6):
         k4x = theta_dot + h * k3v
         theta += (h / 6) * (theta_dot + 2 * k2x + 2 * k3x + k4x)
         theta_dot += (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return theta, theta_dot
+
+
+def integrate_reference(theta, theta_dot, f, cfg, dt):
+    """The RK4 step written out with a fresh array per operation: the oracle of `_integrate`'s bits."""
+    h = dt / rotator.RK4_SUBSTEPS
+    fl, mg, ml = cfg.friction * cfg.length, cfg.mass * cfg.gravity, cfg.mass * cfg.length
+    for _ in range(rotator.RK4_SUBSTEPS):
+        k1v = (f - fl * theta_dot - mg * np.sin(theta)) / ml
+        k2x = theta_dot + 0.5 * h * k1v
+        k2v = (f - fl * k2x - mg * np.sin(theta + 0.5 * h * theta_dot)) / ml
+        k3x = theta_dot + 0.5 * h * k2v
+        k3v = (f - fl * k3x - mg * np.sin(theta + 0.5 * h * k2x)) / ml
+        k4x = theta_dot + h * k3v
+        k4v = (f - fl * k4x - mg * np.sin(theta + h * k3x)) / ml
+        theta = theta + (h / 6.0) * (theta_dot + 2.0 * k2x + 2.0 * k3x + k4x)
+        theta_dot = theta_dot + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return theta, theta_dot
 
 
@@ -143,6 +161,30 @@ class TestDynamics:
             stepped = _integrate(theta, theta_dot, f, cfg, dt)
             bits = tuple([float(x).hex() for x in np.atleast_1d(v)] for v in stepped)
             assert bits == expected[name], name
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 300),
+        st.one_of(st.sampled_from([0.01, 0.05]), st.floats(1e-4, 0.1)),
+        st.builds(
+            RotatorConfig,
+            friction=st.floats(0.0, 5.0),
+            mass=st.floats(0.1, 10.0),
+            length=st.floats(0.1, 10.0),
+            gravity=st.floats(0.0, 20.0),
+        ),
+    )
+    def test_integrate_matches_reference_bits(self, data, lanes, dt, cfg):
+        # each input a float or a lane array, so scalar, mixed and all-lane calls are drawn
+        value = st.floats(-50.0, 50.0)
+        either = st.one_of(value, arrays(np.float64, lanes, elements=value))
+        theta, theta_dot, f = (data.draw(either) for _ in range(3))
+        stepped = _integrate(theta, theta_dot, f, cfg, dt)
+        expected = integrate_reference(theta, theta_dot, f, cfg, dt)
+        for got, want in zip(stepped, expected):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
     def test_energy_conserved_without_force(self):
         seconds = 50
@@ -422,6 +464,8 @@ class TestConfigValidation:
             {"beta": float("nan")},
             {"eta": float("nan")},
             {"eta": float("inf")},
+            {"eta": 9e307},
+            {"eta": 1.0, "theta_dot_target": 1e308},
             {"f_max": float("inf")},
             {"control_dt": float("nan")},
             {"friction": float("-inf")},

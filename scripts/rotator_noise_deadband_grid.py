@@ -2,7 +2,8 @@
 """Measure surfaces of the pendulum over the noise/deadband plane.
 
 By default a coarse 5x5 grid with 10 runs per cell (about 5 s on a 2-core
-VM); pass --full for the fine 21x201 grid (about 7 min and 104 MB there).
+VM); pass --full for the fine 21x201 grid (336 s at a peak RSS of 91 MB
+there, in one run).
 
 Usage: python scripts/rotator_noise_deadband_grid.py [--out DIR] [--full] [--runs N]
 """

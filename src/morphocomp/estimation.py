@@ -10,7 +10,9 @@ The model is a function of the (S, A, S) transition counts alone
 counts, as the checked tables that the measures' array core takes;
 `measure` and the rotator count and measure each episode that way,
 building no objects.  :func:`read_transition_counts` counts a CSV block by
-block as it is parsed, so its memory does not grow with the series.
+block as it is parsed, so its memory does not grow with the series:
+numpy's C reader parses a regular file, and a row-by-row csv reader
+takes over at the first block it declines.
 :func:`estimate` checks a series' symbols against its alphabets and builds
 the validated objects of the public API from the same unchecked tables, so
 their constructors check each table once.
@@ -18,6 +20,7 @@ their constructors check each table once.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
@@ -146,15 +149,11 @@ def _count_blocks(blocks, n_s: int, n_a: int) -> np.ndarray:
 
     A block may hold as many actions as sensors; its last action then leads
     to the next block's first sensor, or, in the last block, to nothing and
-    is not counted.  A None in place of a block drops the counts so far
-    (see `_symbol_blocks`).
+    is not counted.
     """
     counts = np.zeros((n_s, n_a, n_s), dtype=np.int64)
     edge = ()
     for block in blocks:
-        if block is None:
-            counts[...], edge = 0, ()
-            continue
         # narrow symbols are widened for the index arithmetic; int64 ones are not copied
         sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in block)
         if edge:
@@ -230,10 +229,7 @@ def read_symbol_series(
     file line at fault.
     """
     specs = ((sensor_binner, sensor_size), (action_binner, action_size))
-    blocks = list(_symbol_blocks(Path(path), specs))
-    # after a None, the row loop's one block holds the whole file
-    sensors, actions = zip(*(blocks[-1:] if None in blocks else blocks))
-    del blocks
+    sensors, actions = zip(*_symbol_blocks(Path(path), specs))
     # rebinding frees the sensor blocks before the actions are joined
     sensors = np.concatenate(sensors)
     return _series((sensors, np.concatenate(actions)), specs)
@@ -261,13 +257,11 @@ def read_transition_counts(
 def _series(columns, specs):
     """The series and alphabets of checked sensor and action symbols."""
     sensors, actions = columns
-    sensor_alphabet, action_alphabet = (
-        _alphabet(symbols, *spec) for symbols, spec in zip(columns, specs)
-    )
+    alphabets = [_alphabet(symbols, *spec) for symbols, spec in zip(columns, specs)]
     if len(actions) == len(sensors):
         # no successor recorded for the last action
         actions = actions[:-1]
-    return SymbolSeries(sensors, actions), sensor_alphabet, action_alphabet
+    return (SymbolSeries(sensors, actions), *alphabets)
 
 
 def _alphabet(symbols, binner, size):
@@ -278,53 +272,50 @@ def _alphabet(symbols, binner, size):
     return Alphabet(size)
 
 
-def _symbols(values, binner):
-    """The symbols of one column's checked values: bin indices, or the integers as read."""
-    return values if binner is None else binner.index(values)
+def _symbols(block, specs):
+    """The symbols of a block's checked values: bin indices, or the integers as read."""
+    return tuple(v if binner is None else binner.index(v) for v, (binner, _) in zip(block, specs))
 
 
-def _accepted(values, binner, size) -> bool:
-    """Whether the row loop takes these values of one column without a DataError."""
+def _rejected(values, binner, size):
+    """Which values of one column are faults: non-finite reals, symbols outside the alphabet."""
     if binner is not None:
-        return bool(np.isfinite(values).all())
-    return not len(values) or (values.min() >= 0 and (size is None or values.max() < size))
+        return ~np.isfinite(values)
+    return (values < 0) | (values >= size if size is not None else False)
 
 
 def _symbol_blocks(path, specs):
     """Checked (sensors, actions) symbol blocks of a file, in file order.
 
     A well-formed file is parsed by `np.loadtxt` in one pass, a block per
-    `BLOCK_ROWS` lines, each checked and binned on its own.  The fast path
-    declines a file if `_value_blocks` raises ValueError or a value is one
-    the row loop rejects.  It may do so after some blocks, so it then
-    yields None, telling the consumer to drop what it took, and the row
-    loop's columns as one block; the row loop's DataError names the file
-    line at fault.
+    `BLOCK_ROWS` lines, each checked and binned on its own.  The C reader
+    declines a block if `_value_blocks` raises ValueError on it or a value
+    is `_rejected`; the row loop `_row_blocks` then reads on from that
+    block's first file line, so no line is parsed twice and the blocks
+    before it stand.  A DataError names the first file line at fault.
     """
-    try:
-        for block in _value_blocks(path, specs):
-            if not all(_accepted(values, *spec) for values, spec in zip(block, specs)):
+    start = 2
+    with contextlib.suppress(ValueError):
+        for *block, end in _value_blocks(path, specs):
+            if any(_rejected(values, *spec).any() for values, spec in zip(block, specs)):
                 break
-            yield tuple(_symbols(values, binner) for values, (binner, _) in zip(block, specs))
+            yield _symbols(block, specs)
+            start = end
         else:
             return
-    except ValueError:
-        pass
-    yield None
-    yield _read_rows(path, specs)
+    yield from (_symbols(block, specs) for block in _row_blocks(path, specs, start))
 
 
 def _value_blocks(path, specs):
     """Sensor and action values of a file's data lines, `BLOCK_ROWS` lines per loadtxt call.
 
-    The file is read once, holding one block and the line after it; an
-    empty read past a block marks it the last.  The last line's action may
-    be blank, so it is parsed with that cell set to 0, which is then
-    dropped.  A block of blank lines alone, which loadtxt skips, yields
-    nothing.  Raises ValueError, handing the file to the row loop, on a
-    quote (csv splits quoted cells, loadtxt does not), a header other than
-    `t,s,a`, no data line, a blank, whitespace-only or short last line, or
-    a row or cell loadtxt cannot parse.
+    Each block comes with the file line after it.  The file is read once,
+    holding one block and the line after it; an empty read past a block
+    marks it the last, whose blank last action is parsed as 0 and dropped.
+    A block of blank lines alone, which loadtxt skips, yields nothing.
+    Raises ValueError, declining the block, on a quote (csv splits quoted
+    cells, loadtxt does not), a header other than `t,s,a`, no data line, a
+    blank, whitespace-only or short last line, or a cell loadtxt cannot parse.
     """
     kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
     # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
@@ -333,11 +324,13 @@ def _value_blocks(path, specs):
         names = [cell.strip().lower() for cell in header.split(",")[:3]]
         if '"' in header or names != ["t", "s", "a"] or not pending:
             raise ValueError("no t,s,a header with a data line after it")
+        end = 2
         while pending:
             # rebinding first frees the previous block's lines, so one block is held at a time
             block = [pending]
             block += islice(handle, BLOCK_ROWS - 1)
             pending = handle.readline()
+            end += len(block)
             if '"' in "".join(block):
                 raise ValueError("quoted cell")
             final_blank = False
@@ -359,22 +352,20 @@ def _value_blocks(path, specs):
                 comments=None,
                 ndmin=1,
             )
-            yield values["s"], values["a"][:-1] if final_blank else values["a"]
+            yield values["s"], values["a"][:-1] if final_blank else values["a"], end
 
 
-def _read_rows(path, specs):
-    """Sensor and action symbols of a file parsed row by row; a DataError names the file line."""
-    return tuple(
-        _symbols(values, binner) for values, (binner, _) in zip(_row_values(path, specs), specs)
-    )
+def _row_blocks(path, specs, start):
+    """Checked sensor and action values of the data rows from file line `start` on, parsed by csv.
 
-
-def _row_values(path, specs):
-    """Sensor and action values parsed row by row; a DataError names the file line."""
-    # the file line of each data row, so messages name lines past blank rows
-    linenos: list[int] = []
-    sensor_raw: list[str] = []
-    action_raw: list[str] = []
+    Yields blocks of up to `BLOCK_ROWS` rows, as `_value_blocks` does.  The
+    header is always checked; the lines before `start` past it hold data
+    rows the C reader took and no quote, so each is skipped as one line.  A
+    block is parsed once a later data row arrives or the file ends, so a
+    blank action is a fault only before the last data row.
+    """
+    linenos, sensors, actions = [], [], []
+    fault, skipped = None, 0
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -384,30 +375,36 @@ def _row_values(path, specs):
             header = [h.strip().lower() for h in header]
             if header[:3] != ["t", "s", "a"]:
                 raise DataError(f"{path}: expected header t,s,a, got {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
+            skipped = start - 2
+            next(islice(handle, skipped, skipped), None)
+            for row in reader:
+                if not any(map(str.strip, row)):
                     continue
+                # csv counts the lines it read, so a quoted cell may span lines
+                lineno = reader.line_num + skipped
                 if len(row) < 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                    fault = f"{lineno}: expected 3 columns, got {len(row)}"
+                    break
+                if len(linenos) == BLOCK_ROWS:
+                    yield _row_values(path, linenos, (sensors, actions), specs)
+                    linenos, sensors, actions = [], [], []
                 linenos.append(lineno)
-                sensor_raw.append(row[1].strip())
-                action_raw.append(row[2].strip())
+                sensors.append(row[1].strip())
+                actions.append(row[2].strip())
         except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            fault = f"{reader.line_num + skipped}: {exc}"
         except UnicodeDecodeError:
-            raise DataError(f"{path}:{_first_bad_utf8_line(path)}: not valid UTF-8") from None
-    if not sensor_raw:
+            fault = f"{_first_bad_utf8_line(path)}: not valid UTF-8"
+    if fault is not None:
+        # a fault on an earlier row comes first
+        _row_values(path, linenos, (sensors, actions), specs)
+        raise DataError(f"{path}:{fault}")
+    if linenos:
+        if not actions[-1]:
+            actions.pop()
+        yield _row_values(path, linenos, (sensors, actions), specs)
+    elif start == 2:
         raise DataError(f"{path}: no data rows")
-
-    if action_raw[-1] == "":
-        action_raw.pop()
-    if "" in action_raw:
-        lineno = linenos[action_raw.index("")]
-        raise DataError(f"{path}:{lineno}: empty action before the final row")
-    return tuple(
-        _parse_column(path, cells, linenos, *spec, name)
-        for cells, spec, name in zip((sensor_raw, action_raw), specs, "sa")
-    )
 
 
 def _first_bad_utf8_line(path) -> int:
@@ -418,40 +415,42 @@ def _first_bad_utf8_line(path) -> int:
     return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
 
 
-def _parse_column(path, cells, linenos, binner, size, name):
-    """Checked values of one column; cells[i] sits on file line linenos[i]."""
-    if binner is not None:
-        remaining = iter(cells)
-        try:
-            values = np.array([float(cell) for cell in remaining])
-        except ValueError as exc:
-            # the failing cell is the last one taken from `remaining`
-            row = linenos[len(cells) - 1 - sum(1 for _ in remaining)]
-            raise DataError(f"{path}:{row}: column {name}: {exc}") from None
-        if not np.isfinite(values).all():
-            row = linenos[int(np.argmax(~np.isfinite(values)))]
-            raise DataError(f"{path}:{row}: non-finite value in column {name}")
-        return values
-    symbols = np.empty(len(cells), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        try:
-            symbols[i] = int(cell)
-        except ValueError:
-            raise DataError(
-                f"{path}:{linenos[i]}: column {name} holds {cell!r}; real-valued "
-                "columns need a binner"
-            ) from None
-        except OverflowError:
-            raise DataError(
-                f"{path}:{linenos[i]}: column {name} symbol {cell} does not fit in 64 bits"
-            ) from None
-    if (symbols < 0).any():
-        row = linenos[int(np.argmax(symbols < 0))]
-        raise DataError(f"{path}:{row}: negative symbol in column {name}")
-    if size is not None and len(symbols) and int(symbols.max()) >= size:
-        row = linenos[int(np.argmax(symbols == symbols.max()))]
-        raise DataError(
-            f"{path}:{row}: column {name} symbol {int(symbols.max())} does not "
-            f"fit alphabet of size {size}"
-        )
-    return symbols
+def _row_values(path, linenos, columns, specs):
+    """Checked values of a block's cells, cells[i] on file line linenos[i]; faults in file order."""
+    # on one line, an empty action comes first, then the sensor cell, then the action cell
+    faults = [(columns[1].index(""), "empty action before the final row")] if "" in columns[1] else []
+    parsed = [_parse_column(cells, *spec, name) for cells, spec, name in zip(columns, specs, "sa")]
+    faults += [fault for _, fault in parsed if fault]
+    if faults:
+        index, message = min(faults, key=operator.itemgetter(0))
+        raise DataError(f"{path}:{linenos[index]}: {message}")
+    return tuple(values for values, _ in parsed)
+
+
+def _parse_column(cells, binner, size, name):
+    """The values of one column's cells, and the index and message of its first fault, or None."""
+    kind, dtype = (int, np.int64) if binner is None else (float, np.float64)
+    remaining, fault = iter(cells), None
+    try:
+        values = np.fromiter(map(kind, remaining), dtype, len(cells))
+    except (ValueError, OverflowError) as exc:
+        # the failing cell is the last one taken from `remaining`
+        index = len(cells) - 1 - sum(1 for _ in remaining)
+        values, cell = np.fromiter(map(kind, cells[:index]), dtype, index), cells[index]
+        if binner is not None:
+            fault = index, f"column {name}: {exc}"
+        elif isinstance(exc, OverflowError):
+            fault = index, f"column {name} symbol {cell} does not fit in 64 bits"
+        else:
+            fault = index, f"column {name} holds {cell!r}; real-valued columns need a binner"
+    bad = _rejected(values, binner, size)
+    if bad.any():
+        # the cells before a failing one are earlier
+        index = int(np.argmax(bad))
+        if binner is not None:
+            fault = index, f"non-finite value in column {name}"
+        elif values[index] < 0:
+            fault = index, f"negative symbol in column {name}"
+        else:
+            fault = index, f"column {name} symbol {values[index]} does not fit alphabet of size {size}"
+    return values, fault

@@ -470,6 +470,34 @@ class TestCsv:
         with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
             read_symbol_series(path)
 
+    def test_oversized_cell_past_a_taken_block_names_its_line(self, tmp_path, monkeypatch):
+        # the C reader takes line 2, so the row loop starts at line 3 with one line skipped
+        monkeypatch.setattr(estimation, "BLOCK_ROWS", 1)
+        path = self.write(tmp_path, f"t,s,a\n0,0,1\n1,{'1' * 200_000},0\n2,1,\n")
+        with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
+            read_symbol_series(path)
+
+    def test_line_numbers_count_the_lines_of_a_quoted_cell(self, tmp_path):
+        # the quoted t cell spans lines 2 and 3, so the `x` sits on line 4
+        path = self.write(tmp_path, 't,s,a\n"0\n",1,1\n1,x,0\n2,1,\n')
+        message = f"{path}:4: column s holds 'x'; real-valued columns need a binner"
+        with pytest.raises(DataError) as exc_info:
+            read_symbol_series(path)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("block_rows", [2, estimation.BLOCK_ROWS])
+    def test_line_numbers_past_a_quoted_cell_and_skipped_lines(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # with blocks of 2 lines the C reader takes lines 2-3 and the row loop resumes at line 4,
+        # whose quoted t cell spans lines 4 and 5; the `x` sits on line 6
+        monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
+        path = self.write(tmp_path, 't,s,a\n0,1,1\n1,1,1\n"2\n",1,1\n3,x,0\n4,1,\n')
+        with pytest.raises(DataError) as exc_info:
+            read_symbol_series(path)
+        message = f"{path}:6: column s holds 'x'; real-valued columns need a binner"
+        assert str(exc_info.value) == message
+
 
     @pytest.mark.parametrize(
         "rows_before, newline", [(0, "\n"), (200_000, "\r\n")], ids=["line-2", "past-first-block"]
@@ -512,10 +540,22 @@ def column_specs(options):
     )
 
 
+def decline(*args):
+    """A C reader that declines every file at its first data line."""
+    raise ValueError("declined")
+
+
 def read_by_row_loop(path, **options):
     """`read_symbol_series` with the numpy fast path left out."""
-    specs = column_specs(options)
-    return estimation._series(estimation._read_rows(Path(path), specs), specs)
+    with mock.patch.object(estimation, "_value_blocks", decline):
+        return read_symbol_series(path, **options)
+
+
+def row_loop_columns(path, specs):
+    """The value and the symbol columns the row loop takes from a whole file."""
+    blocks = list(estimation._row_blocks(Path(path), specs, 2))
+    values = tuple(np.concatenate(column) for column in zip(*blocks))
+    return values, estimation._symbols(values, specs)
 
 
 def outcome(read, path, options):
@@ -534,13 +574,21 @@ def outcome(read, path, options):
     )
 
 
+class Declined(Exception):
+    """The C reader handed a file to the row loop."""
+
+
 def fast_columns(path, options):
     """The symbol columns the C reader takes from a file, or None if it hands the file on."""
-    blocks = []
-    for block in estimation._symbol_blocks(Path(path), column_specs(options)):
-        if block is None:
+
+    def row_loop(*args):
+        raise Declined
+
+    with mock.patch.object(estimation, "_row_blocks", row_loop):
+        try:
+            blocks = list(estimation._symbol_blocks(Path(path), column_specs(options)))
+        except Declined:
             return None
-        blocks.append(block)
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
@@ -552,7 +600,7 @@ class TestFastPath:
         def row_loop(*args):
             raise AssertionError("the row loop ran on a well-formed file")
 
-        monkeypatch.setattr(estimation, "_read_rows", row_loop)
+        monkeypatch.setattr(estimation, "_row_blocks", row_loop)
 
     def read(self, path, **options):
         with warnings.catch_warnings():
@@ -666,35 +714,110 @@ class TestTransitionCounts:
         assert counts.sum() == 4
 
 
+    def test_the_row_loop_reads_only_the_declined_block(self, tmp_path, monkeypatch):
+        # blocks of 2 lines: the C reader takes lines 2-9, and declines line 10 for its quote
+        monkeypatch.setattr(estimation, "BLOCK_ROWS", 2)
+        sensors, actions = [0, 1, 2, 2, 0, 1, 1, 2, 0], [1, 0, 1, 1, 0, 0, 1, 0]
+        rows = [f"{t},{s},{a}\n" for t, (s, a) in enumerate(zip(sensors, actions))]
+        path = tmp_path / "series.csv"
+        path.write_text("t,s,a\n" + "".join(rows) + '"8",0,\n')
+        taken, reader = [], csv.reader
+
+        class CountingReader:
+            """csv.reader, keeping each row it yields."""
+
+            def __init__(self, *args, **kwargs):
+                self.reader = reader(*args, **kwargs)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                taken.append(next(self.reader))
+                return taken[-1]
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        monkeypatch.setattr(csv, "reader", CountingReader)
+        counts = read_transition_counts(path, sensor_size=3, action_size=2)
+        assert taken == [["t", "s", "a"], ["8", "0", ""]]
+        whole = count_transitions(np.array(sensors), np.array(actions), 3, 2)
+        np.testing.assert_array_equal(counts, whole)
+        assert counts.sum() == 8
+
+
+def write_real_series(path, rows, quoted=None):
+    """A real-valued file as `rotator run` writes series.csv, with a blank final action.
+
+    `quoted` ("first" or "last") quotes every cell of the first or the last data row.
+    """
+    rng = np.random.default_rng(0)
+    body = list(
+        zip(
+            (0.01 * np.arange(rows)).tolist(),
+            rng.uniform(0.0, 8.0, rows).tolist(),
+            [*rng.uniform(-1.0, 1.0, rows - 1).tolist(), ""],
+        )
+    )
+    with path.open("w", newline="") as handle:
+        writer, quoting = csv.writer(handle), csv.writer(handle, quoting=csv.QUOTE_ALL)
+        writer.writerow(("t", "s", "a"))
+        if quoted == "first":
+            quoting.writerow(body[0])
+            writer.writerows(body[1:])
+        elif quoted == "last":
+            writer.writerows(body[:-1])
+            quoting.writerow(body[-1])
+        else:
+            writer.writerows(body)
+
+
+def traced_peak(read, *args, **kwargs):
+    """The result of a reader call and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = read(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReaderMemory:
     ROWS = 200_000
+    BINNERS = {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER}
 
     def test_peak_stays_near_the_int64_series(self, tmp_path):
-        # a real-valued file as `rotator run` writes series.csv, with a blank final action
-        rng = np.random.default_rng(0)
         path = tmp_path / "series.csv"
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("t", "s", "a"))
-            writer.writerows(
-                zip(
-                    (0.01 * np.arange(self.ROWS)).tolist(),
-                    rng.uniform(0.0, 8.0, self.ROWS).tolist(),
-                    [*rng.uniform(-1.0, 1.0, self.ROWS - 1).tolist(), ""],
-                )
-            )
-        tracemalloc.start()
-        try:
-            series, _, _ = read_symbol_series(
-                path, sensor_binner=SENSOR_BINNER, action_binner=ACTION_BINNER
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        write_real_series(path, self.ROWS)
+        (series, _, _), peak = traced_peak(read_symbol_series, path, **self.BINNERS)
         assert len(series) == self.ROWS - 1
         # the series holds 16 bytes a row; holding every parsed float beside
         # it would take 32, and parsing the whole body at once took 48
         assert peak / self.ROWS < 32
+
+    # a quote declines the file at its first or its last block
+    @pytest.mark.parametrize("quoted", ["first", "last"])
+    def test_declined_file_peak_stays_near_the_int64_series(self, tmp_path, quoted):
+        path = tmp_path / "series.csv"
+        write_real_series(path, self.ROWS, quoted)
+        (series, _, _), peak = traced_peak(read_symbol_series, path, **self.BINNERS)
+        assert len(series) == self.ROWS - 1
+        # the row loop read the whole file as Python strings at about 250 bytes a row
+        assert peak / self.ROWS < 32
+
+    @pytest.mark.parametrize("quoted", ["first", "last"])
+    def test_counting_a_declined_file_holds_one_block(self, tmp_path, quoted):
+        peaks = []
+        for rows in (20_000, 200_000):
+            path = tmp_path / f"series-{rows}.csv"
+            write_real_series(path, rows, quoted)
+            counts, peak = traced_peak(read_transition_counts, path, **self.BINNERS)
+            assert counts.sum() == rows - 1
+            peaks.append(peak)
+        # about 2.3 MB for both; holding the rows read by the row loop, 5 and 47 MB
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 # (file text, reader options, why the fast path hands the file to the row loop)
@@ -922,10 +1045,11 @@ class TestFastMatchesRowLoop:
             if columns is not None:
                 specs = column_specs(options)
                 # the C reader's values are the row loop's, bit for bit, and so are the symbols
-                blocks = estimation._value_blocks(path, specs)
+                blocks = [block[:2] for block in estimation._value_blocks(path, specs)]
                 parsed = [np.concatenate(parts) for parts in zip(*blocks)]
-                assert_same_bits(parsed, estimation._row_values(path, specs))
-                assert_same_bits(columns, estimation._read_rows(path, specs))
+                values, symbols = row_loop_columns(path, specs)
+                assert_same_bits(parsed, values)
+                assert_same_bits(columns, symbols)
             if isinstance(expected, str):
                 stderr = io.StringIO()
                 with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -954,3 +1078,124 @@ class TestFastMatchesRowLoop:
             warnings.simplefilter("error")
             counts = read_transition_counts(path, **sized)
         assert counts.tobytes() == whole.tobytes()
+
+
+@st.composite
+def faulty_files(draw, faults):
+    """A valid t,s,a file with `faults` faults on distinct drawn data rows.
+
+    Returns the text, the reader options, and for each fault its file line
+    and the text the reader's DataError gives after the file name.
+    """
+    real = draw(st.tuples(st.booleans(), st.booleans()))
+    sizes = [None if real[column] else draw(st.none() | st.integers(1, 6)) for column in (0, 1)]
+    rows = draw(st.integers(faults + 1, 12))
+
+    def valid(column):
+        if real[column]:
+            return repr(draw(st.floats(-2.0, 10.0)))
+        return str(draw(st.integers(0, (sizes[column] or 7) - 1)))
+
+    table = [[str(t), valid(0), valid(1)] for t in range(rows)]
+    if draw(st.booleans()):
+        table[-1][2] = ""
+    details = {}
+    fault_rows = st.lists(st.integers(0, rows - 1), min_size=faults, max_size=faults, unique=True)
+    for row in draw(fault_rows):
+        kinds = [("short-row", None)] + [("empty-action", 1)] * (row < rows - 1)
+        for column in (0, 1):
+            kinds.append(("unparsable", column))
+            if real[column]:
+                kinds.append(("non-finite", column))
+            else:
+                kinds += [("negative", column), ("beyond-int64", column)]
+                kinds += [("out-of-alphabet", column)] * (sizes[column] is not None)
+        kind, column = draw(st.sampled_from(kinds))
+        name = "sa"[column] if column is not None else None
+        if kind == "short-row":
+            table[row] = table[row][:2]
+            details[row] = "expected 3 columns, got 2"
+            continue
+        if kind == "empty-action":
+            cell, details[row] = "", "empty action before the final row"
+        elif kind == "unparsable":
+            cell = "x"
+            if real[column]:
+                details[row] = f"column {name}: could not convert string to float: 'x'"
+            else:
+                details[row] = f"column {name} holds 'x'; real-valued columns need a binner"
+        elif kind == "non-finite":
+            cell = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+            details[row] = f"non-finite value in column {name}"
+        elif kind == "negative":
+            cell = str(draw(st.integers(-9, -1)))
+            details[row] = f"negative symbol in column {name}"
+        elif kind == "beyond-int64":
+            cell = draw(st.sampled_from(["9223372036854775808", "-9223372036854775809", "9" * 20]))
+            details[row] = f"column {name} symbol {cell} does not fit in 64 bits"
+        else:
+            cell = str(draw(st.integers(sizes[column], sizes[column] + 9)))
+            size = sizes[column]
+            details[row] = f"column {name} symbol {cell} does not fit alphabet of size {size}"
+        table[row][1 + column] = cell
+
+    # blank lines, quoted cells and a quoted cell spanning two lines move the file lines
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text, line, faults_at = "t,s,a" + newline, 1, []
+    for row, cells in enumerate(table):
+        layout = draw(st.sampled_from(["plain"] * 4 + ["blank-before", "quoted", "two-line"]))
+        if layout == "blank-before":
+            text, line = text + newline, line + 1
+        if layout == "quoted":
+            cells = [f'"{cells[0]}"', *cells[1:]]
+        if layout == "two-line":
+            cells = [f'"{cells[0]}\n"', *cells[1:]]
+        text += ",".join(cells) + newline
+        line += 1 + (layout == "two-line")
+        if row in details:
+            faults_at.append((line, details[row]))
+    if draw(st.booleans()):
+        text = text.removesuffix(newline)
+
+    options = {}
+    for column, name, binner in ((0, "sensor", SENSOR_BINNER), (1, "action", ACTION_BINNER)):
+        if real[column]:
+            options[f"{name}_binner"] = binner
+        elif sizes[column] is not None:
+            options[f"{name}_size"] = sizes[column]
+    return text, options, faults_at
+
+
+class TestFaultOrder:
+    """A file's DataError names its first faulty line, with the message that fault has alone."""
+
+    # blocks of 1 and 2 lines put faults on block edges and past the first block
+    @pytest.mark.parametrize("block_rows", [1, 2, estimation.BLOCK_ROWS])
+    @given(drawn=faulty_files(1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_fault_keeps_its_message(self, block_rows, drawn):
+        self.check(block_rows, drawn)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, estimation.BLOCK_ROWS])
+    @given(drawn=faulty_files(2))
+    @settings(max_examples=200, deadline=None)
+    def test_of_two_faults_the_earlier_line_is_named(self, block_rows, drawn):
+        self.check(block_rows, drawn)
+
+    @staticmethod
+    def check(block_rows, drawn):
+        text, options, faults_at = drawn
+        line, detail = min(faults_at)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_bytes(text.encode())
+            readers = [read_symbol_series]
+            # the counting reader takes a file only with both alphabet sizes known
+            columns = ("sensor", "action")
+            if all({f"{name}_binner", f"{name}_size"} & options.keys() for name in columns):
+                readers.append(read_transition_counts)
+            for read in readers:
+                with mock.patch.object(estimation, "BLOCK_ROWS", block_rows):
+                    with pytest.raises(DataError) as exc_info:
+                        read(path, **options)
+                assert str(exc_info.value) == f"{path}:{line}: {detail}"

@@ -23,13 +23,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .measures import action_effect, checked_rows, intrinsic_values, world_effect
-from .prob import (
-    ComputeError,
-    chain_arrays,
-    check_probs,
-    compose_arrays,
-    raise_first,
-)
+from .prob import ComputeError, check_probs, compose_arrays, raise_first
 
 SIGNS = np.array([-1.0, 1.0])
 
@@ -89,7 +83,7 @@ def kernel_arrays(phi, psi, zeta, mu, tau):
 
 def world_joint_arrays(alpha, beta, pi, p_w) -> np.ndarray:
     """Exact single-step joints p(w, a, w') of a batch of loops, (B,2,2,2)."""
-    sensor_to_action = chain_arrays(beta, pi)  # p(a|w), the sensor summed out
+    sensor_to_action = check_probs(np.matmul(beta, pi), "kernel")  # p(a|w), the sensor summed out
     return compose_arrays(p_w, sensor_to_action, alpha)
 
 

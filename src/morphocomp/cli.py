@@ -78,14 +78,14 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: li
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, document, sort_keys: bool = True) -> None:
-    with path.open("w") as handle:
+    with path.open("w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
 

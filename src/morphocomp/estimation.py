@@ -9,13 +9,13 @@ The model is a function of the (S, A, S) transition counts alone
 (:func:`count_transitions`).  :func:`estimate_arrays` computes it from
 counts, as the checked tables that the measures' array core takes;
 `measure` and the rotator count and measure each episode that way,
-building no objects.  :func:`read_transition_counts` counts a CSV block by
-block as it is parsed, so its memory does not grow with the series:
-numpy's C reader parses a regular file, and a row-by-row csv reader
-takes over at the first block it declines.
-:func:`estimate` checks a series' symbols against its alphabets and builds
-the validated objects of the public API from the same unchecked tables, so
-their constructors check each table once.
+building no objects; a symbol outside its alphabet raises DataError.
+:func:`read_transition_counts` counts a CSV block by block as it is
+parsed, so its memory does not grow with the series: numpy's C reader
+parses ASCII blocks, and a csv row loop those it declines, where a byte
+that is not UTF-8 is a fault in file order.  :func:`estimate` builds the
+public API's validated objects from the same unchecked tables, so their
+constructors check each table once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +138,13 @@ class Binner:
 def count_transitions(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: int) -> np.ndarray:
     """The (S, A, S) int64 table of how often each transition (s, a, s') occurs in one recording.
 
-    Takes integer symbols in range(n_s) and range(n_a); actions[t] leads
-    from sensors[t] to sensors[t+1].
+    Takes integer symbols; actions[t] leads from sensors[t] to sensors[t+1].
+    A symbol outside range(n_s) or range(n_a) raises DataError.
     """
+    for symbols, size, what in ((sensors, n_s, "sensor"), (actions, n_a, "action")):
+        for symbol in (symbols.min(), symbols.max()) if len(symbols) else ():
+            if not 0 <= symbol < size:
+                raise DataError(f"{what} symbol {symbol} outside alphabet of size {size}")
     return _count_blocks([(sensors, actions)], n_s, n_a)
 
 
@@ -192,12 +196,8 @@ def estimate_arrays(counts: np.ndarray):
 def estimate(
     series: SymbolSeries, sensor_alphabet: Alphabet, action_alphabet: Alphabet
 ) -> IntrinsicModel:
-    """The model of :func:`estimate_arrays` as validated objects, its symbols checked first."""
+    """The model of :func:`estimate_arrays` as validated objects, its symbols checked as counted."""
     s, a = sensor_alphabet, action_alphabet
-    for symbols, alphabet, what in ((series.sensors, s, "sensor"), (series.actions, a, "action")):
-        if len(symbols) and int(symbols.max()) >= alphabet.size:
-            top = int(symbols.max())
-            raise DataError(f"{what} symbol {top} outside alphabet of size {alphabet.size}")
     counts = count_transitions(series.sensors, series.actions, s.size, a.size)
     prior, policy, world = _tables(counts)
     return IntrinsicModel(Distribution(s, prior), Kernel2(s, a, policy), Kernel3(s, a, s, world))
@@ -314,15 +314,16 @@ def _value_blocks(path, specs):
     marks it the last, whose blank last action is parsed as 0 and dropped.
     A block of blank lines alone, which loadtxt skips, yields nothing.
     Raises ValueError, declining the block, on a quote (csv splits quoted
-    cells, loadtxt does not), a header other than `t,s,a`, no data line, a
-    blank, whitespace-only or short last line, or a cell loadtxt cannot parse.
+    cells, loadtxt does not), a character beyond ASCII (loadtxt would pass
+    a bad byte in `t`), a header other than `t,s,a`, no data line, a blank,
+    whitespace-only or short last line, or a cell loadtxt cannot parse.
     """
     kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
     # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
-    with path.open(encoding="utf-8-sig") as handle:
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as handle:
         header, pending = handle.readline(), handle.readline()
         names = [cell.strip().lower() for cell in header.split(",")[:3]]
-        if '"' in header or names != ["t", "s", "a"] or not pending:
+        if '"' in header or not header.isascii() or names != ["t", "s", "a"] or not pending:
             raise ValueError("no t,s,a header with a data line after it")
         end = 2
         while pending:
@@ -331,8 +332,8 @@ def _value_blocks(path, specs):
             block += islice(handle, BLOCK_ROWS - 1)
             pending = handle.readline()
             end += len(block)
-            if '"' in "".join(block):
-                raise ValueError("quoted cell")
+            if '"' in (text := "".join(block)) or not text.isascii():
+                raise ValueError("quoted cell or a character beyond ASCII")
             final_blank = False
             if not pending:
                 last = block[-1].split(",")
@@ -362,12 +363,14 @@ def _row_blocks(path, specs, start):
     header is always checked; the lines before `start` past it hold data
     rows the C reader took and no quote, so each is skipped as one line.  A
     block is parsed once a later data row arrives or the file ends, so a
-    blank action is a fault only before the last data row.
+    blank action is a fault only before the last data row.  A byte that is
+    not UTF-8 is a fault on its own line, in file order (`_utf8_lines`).
     """
     linenos, sensors, actions = [], [], []
     fault, skipped = None, 0
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        lines = _utf8_lines(handle)
+        reader = csv.reader(lines)
         try:
             header = next(reader, None)
             if header is None:
@@ -376,7 +379,7 @@ def _row_blocks(path, specs, start):
             if header[:3] != ["t", "s", "a"]:
                 raise DataError(f"{path}: expected header t,s,a, got {','.join(header)}")
             skipped = start - 2
-            next(islice(handle, skipped, skipped), None)
+            next(islice(lines, skipped, skipped), None)
             for row in reader:
                 if not any(map(str.strip, row)):
                     continue
@@ -393,8 +396,8 @@ def _row_blocks(path, specs, start):
                 actions.append(row[2].strip())
         except csv.Error as exc:
             fault = f"{reader.line_num + skipped}: {exc}"
-        except UnicodeDecodeError:
-            fault = f"{_first_bad_utf8_line(path)}: not valid UTF-8"
+        except _NotUtf8:
+            fault = f"{reader.line_num + skipped + 1}: not valid UTF-8"
     if fault is not None:
         # a fault on an earlier row comes first
         _row_values(path, linenos, (sensors, actions), specs)
@@ -407,12 +410,20 @@ def _row_blocks(path, specs, start):
         raise DataError(f"{path}: no data rows")
 
 
-def _first_bad_utf8_line(path) -> int:
-    r"""The file line (\n, \r\n and lone \r end one) of the first byte that is not UTF-8."""
-    # surrogateescape decodes each bad byte to one of U+DC80..U+DCFF
-    text = path.read_bytes().decode("utf-8", errors="surrogateescape")
-    head = text[: re.search("[\udc80-\udcff]", text).start()]
-    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+class _NotUtf8(Exception):
+    """Raised on taking a line that holds a byte that is not UTF-8, before csv.reader counts it."""
+
+
+def _utf8_lines(handle):
+    """The lines of a surrogateescape handle, up to one with a bad byte; ASCII lines pass unchecked."""
+    for is_ascii, lines in groupby(handle, str.isascii):
+        if is_ascii:
+            yield from lines
+            continue
+        for line in lines:
+            if re.search("[\udc80-\udcff]", line):  # how surrogateescape reads a bad byte
+                raise _NotUtf8
+            yield line
 
 
 def _row_values(path, linenos, columns, specs):

@@ -7,9 +7,8 @@ All objects are immutable after construction and all operations are pure
 functions; values can be shared freely across threads.
 
 The checks and the arithmetic that the measures batch (``check_probs``,
-``compose_arrays``, ``chain_arrays``, ``cmi_arrays``) work on stacks of
-tables with a leading batch axis; the objects and their functions use them
-with a batch of one.
+``compose_arrays``, ``cmi_arrays``) work on stacks of tables with a leading
+batch axis; the objects and their functions use them with a batch of one.
 
 Zero handling follows the usual information-theoretic conventions:
 terms with p = 0 contribute nothing to divergences (0 * ln 0 = 0), while
@@ -277,11 +276,6 @@ def conditional_mutual_information(joint: Joint3, given: int) -> float:
     if given not in (0, 1):
         raise ValueError(f"given must be axis 0 or 1, got {given!r}")
     return float(cmi_arrays(joint.probs[None], given)[0])
-
-
-def chain_arrays(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Stacked kernels p(z|x) = sum_y p(z|y) p(y|x) from (B,X,Y) and (B,Y,Z) rows."""
-    return check_probs(np.matmul(first, second), "kernel")
 
 
 def log_size(size: int) -> float:

@@ -97,7 +97,7 @@ def load_config(path) -> RotatorConfig:
     """
     path = Path(path)
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

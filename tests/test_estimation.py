@@ -273,6 +273,11 @@ class TestEstimate:
         with pytest.raises(DataError):
             estimate(series, Alphabet(3), Alphabet(2))
 
+    def test_action_beyond_its_alphabet_rejected(self):
+        series = SymbolSeries([0, 1], [2])
+        with pytest.raises(DataError, match="^action symbol 2 outside alphabet of size 2$"):
+            estimate(series, Alphabet(3), Alphabet(2))
+
 
 class TestEstimateArrays:
     @settings(max_examples=60, deadline=None)
@@ -498,16 +503,33 @@ class TestCsv:
         message = f"{path}:6: column s holds 'x'; real-valued columns need a binner"
         assert str(exc_info.value) == message
 
-
-    @pytest.mark.parametrize(
-        "rows_before, newline", [(0, "\n"), (200_000, "\r\n")], ids=["line-2", "past-first-block"]
-    )
-    def test_invalid_utf8_names_its_line(self, tmp_path, capsys, rows_before, newline):
-        body = "".join(f"{t},1,0{newline}" for t in range(rows_before))
-        assert rows_before == 0 or rows_before > estimation.BLOCK_ROWS
+    def test_a_bad_byte_past_an_earlier_fault_leaves_it_first(self, tmp_path):
+        # the short row on line 3 sits in the same 8 KB of text as the bad byte on line 5
         path = tmp_path / "series.csv"
-        path.write_bytes(f"t,s,a{newline}{body}".encode() + b"0,\xff1,0\n1,2,\n")
-        message = f"{path}:{rows_before + 2}: not valid UTF-8"
+        path.write_bytes(b"t,s,a\n0,1,1\n1,2\n2,1,0\n3,\xff1,0\n4,1,\n")
+        with pytest.raises(DataError) as exc_info:
+            read_symbol_series(path)
+        assert str(exc_info.value) == f"{path}:3: expected 3 columns, got 2"
+
+    # the C reader reads neither the `t` column nor a header past `a`, so it declines a bad byte there
+    @pytest.mark.parametrize(
+        "header, rows_before, newline, row, line",
+        [
+            (b"t,s,a", 0, "\n", b"0,\xff1,0", 2),
+            (b"t,s,a", 200_000, "\r\n", b"0,\xff1,0", 200_002),
+            (b"t,s,a,x\xff", 0, "\n", b"0,1,0", 1),
+            (b"t,s,a", 3, "\n", b"\xff3,1,0", 5),
+        ],
+        ids=["line-2", "past-first-block", "header", "t-cell"],
+    )
+    def test_invalid_utf8_names_its_line(
+        self, tmp_path, capsys, header, rows_before, newline, row, line
+    ):
+        body = "".join(f"{t},1,0{newline}" for t in range(rows_before))
+        assert line < estimation.BLOCK_ROWS or rows_before > estimation.BLOCK_ROWS
+        path = tmp_path / "series.csv"
+        path.write_bytes(header + f"{newline}{body}".encode() + row + b"\n1,2,\n")
+        message = f"{path}:{line}: not valid UTF-8"
         with pytest.raises(DataError) as exc_info:
             read_symbol_series(path)
         assert str(exc_info.value) == message
@@ -698,6 +720,20 @@ class TestTransitionCounts:
                 assert counts.dtype == np.int64
                 np.testing.assert_array_equal(counts, whole)
 
+    # unchecked, each is counted at a wrong cell: (2, 1, 1), (2, 1, 2) and (1, 0, 1) of the table
+    @pytest.mark.parametrize(
+        "sensors, actions, message",
+        [
+            ([0, 1], [5], "action symbol 5 outside alphabet of size 2"),
+            ([-1, 1], [1], "sensor symbol -1 outside alphabet of size 3"),
+            ([0, 7], [1], "sensor symbol 7 outside alphabet of size 3"),
+        ],
+        ids=["action-too-large", "negative-sensor", "sensor-too-large"],
+    )
+    def test_symbols_outside_the_alphabets_are_rejected(self, sensors, actions, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            count_transitions(np.array(sensors), np.array(actions), 3, 2)
+
     @pytest.mark.parametrize("block_rows", [1, 2])
     def test_a_file_declined_past_its_first_block_is_counted_once(
         self, tmp_path, monkeypatch, block_rows
@@ -819,6 +855,25 @@ class TestReaderMemory:
         # about 2.3 MB for both; holding the rows read by the row loop, 5 and 47 MB
         assert peaks[1] < 1.1 * peaks[0]
 
+    def test_a_bad_byte_on_the_last_line_holds_one_block(self, tmp_path):
+        clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+        write_real_series(clean, self.ROWS)
+        text = clean.read_bytes()
+        last = text.rindex(b"\n", 0, -1) + 1
+        bad.write_bytes(text[:last] + b"\xff" + text[last:])
+        counts, clean_peak = traced_peak(read_transition_counts, clean, **self.BINNERS)
+        assert counts.sum() == self.ROWS - 1
+
+        def message(path):
+            with pytest.raises(DataError) as exc_info:
+                read_transition_counts(path, **self.BINNERS)
+            return str(exc_info.value)
+
+        text, peak = traced_peak(message, bad)
+        assert text == f"{bad}:{self.ROWS + 1}: not valid UTF-8"
+        # about 2 MB for both; decoding the whole file again to find the line took 40 MB
+        assert peak < 1.5 * clean_peak
+
 
 # (file text, reader options, why the fast path hands the file to the row loop)
 FALLBACKS = {
@@ -896,18 +951,20 @@ class TestOneRead:
     """`measure` reads a file the C reader takes in one pass; the row loop reads a declined one again."""
 
     @pytest.mark.parametrize(
-        "text, options, opens",
+        "text, options, opens, code",
         [
             # with an inferred alphabet `measure` reads the series, with both sizes given it counts it
-            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {}, 1),
-            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor_size": 3, "action_size": 2}, 1),
-            (*FALLBACKS["quoted-cell-with-comma"], 2),
+            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {}, 1, 0),
+            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor_size": 3, "action_size": 2}, 1, 0),
+            (*FALLBACKS["quoted-cell-with-comma"], 2, 0),
+            # a byte that is not UTF-8 is found as the row loop reads, not by reading the file again
+            ("t,s,a\n0,1,1\n1,\udcff2,0\n2,0,\n", {}, 2, 2),
         ],
-        ids=["c-reader-series", "c-reader-counts", "declined"],
+        ids=["c-reader-series", "c-reader-counts", "declined", "bad-byte"],
     )
-    def test_measure_opens_its_input(self, tmp_path, capsys, text, options, opens):
+    def test_measure_opens_its_input(self, tmp_path, capsys, text, options, opens, code):
         path = tmp_path / "series.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         opened = []
         original = Path.open
 
@@ -917,7 +974,7 @@ class TestOneRead:
             return original(self, *args, **kwargs)
 
         with mock.patch.object(Path, "open", counting_open):
-            assert main(["measure", "--input", str(path), *cli_flags(options)]) == 0
+            assert main(["measure", "--input", str(path), *cli_flags(options)]) == code
         assert len(opened) == opens
 
 
@@ -1085,7 +1142,9 @@ def faulty_files(draw, faults):
     """A valid t,s,a file with `faults` faults on distinct drawn data rows.
 
     Returns the text, the reader options, and for each fault its file line
-    and the text the reader's DataError gives after the file name.
+    and the text the reader's DataError gives after the file name.  A byte
+    that is not UTF-8 is in the text as the surrogate that surrogateescape
+    decodes it to.
     """
     real = draw(st.tuples(st.booleans(), st.booleans()))
     sizes = [None if real[column] else draw(st.none() | st.integers(1, 6)) for column in (0, 1)]
@@ -1099,10 +1158,10 @@ def faulty_files(draw, faults):
     table = [[str(t), valid(0), valid(1)] for t in range(rows)]
     if draw(st.booleans()):
         table[-1][2] = ""
-    details = {}
+    details, bad_t = {}, set()
     fault_rows = st.lists(st.integers(0, rows - 1), min_size=faults, max_size=faults, unique=True)
     for row in draw(fault_rows):
-        kinds = [("short-row", None)] + [("empty-action", 1)] * (row < rows - 1)
+        kinds = [("short-row", None), ("bad-byte", None)] + [("empty-action", 1)] * (row < rows - 1)
         for column in (0, 1):
             kinds.append(("unparsable", column))
             if real[column]:
@@ -1115,6 +1174,14 @@ def faulty_files(draw, faults):
         if kind == "short-row":
             table[row] = table[row][:2]
             details[row] = "expected 3 columns, got 2"
+            continue
+        if kind == "bad-byte":
+            # in the t, s or a cell
+            index = draw(st.integers(0, 2))
+            table[row][index] = "\udcff" + table[row][index]
+            details[row] = "not valid UTF-8"
+            if index == 0:
+                bad_t.add(row)
             continue
         if kind == "empty-action":
             cell, details[row] = "", "empty action before the final row"
@@ -1153,7 +1220,8 @@ def faulty_files(draw, faults):
         text += ",".join(cells) + newline
         line += 1 + (layout == "two-line")
         if row in details:
-            faults_at.append((line, details[row]))
+            # a bad byte is named on its own line, the first of a two-line t cell
+            faults_at.append((line - (layout == "two-line" and row in bad_t), details[row]))
     if draw(st.booleans()):
         text = text.removesuffix(newline)
 
@@ -1188,7 +1256,7 @@ class TestFaultOrder:
         line, detail = min(faults_at)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "series.csv"
-            path.write_bytes(text.encode())
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             readers = [read_symbol_series]
             # the counting reader takes a file only with both alphabet sizes known
             columns = ("sensor", "action")

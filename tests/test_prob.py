@@ -378,12 +378,6 @@ class TestConditionalMutualInformation:
 
 
 class TestChainAndRoundTrip:
-    def test_chain_matches_matrix_product(self, rng):
-        first = Kernel2(Alphabet(3), B, rng.dirichlet(np.ones(2), size=3))
-        second = Kernel2(B, Alphabet(4), rng.dirichlet(np.ones(4), size=2))
-        combined = prob.chain_arrays(first.rows[None], second.rows[None])[0]
-        np.testing.assert_allclose(combined, first.rows @ second.rows)
-
     def test_compose_condition_recovers_policy(self, rng):
         # round trip: the policy can be read back off the joint wherever the
         # conditioning state has mass

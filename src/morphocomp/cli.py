@@ -7,7 +7,8 @@ Commands:
   rotator sweep averaged measures over a noise/deadband grid
 
 Every command measures on plain arrays, builds no validated object and
-range-checks its values once per array (``measures.checked_rows``).  Every
+range-checks its values once per array (``measures.checked_rows``); the
+rotator commands leave both to ``rotator`` and only warn and write files.  Every
 invocation that writes files also writes a manifest.json capturing the
 resolved configuration, seed and tool version, sufficient to regenerate the
 outputs bit-identically.  Exit codes: 0 success, 2 usage or parse error or
@@ -242,11 +243,8 @@ def cmd_rotator_run(args) -> int:
     cfg = _rotator_config(args)
     _warn_soft_range("eta", cfg.eta, *ETA_RANGE)
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
-    episode = rotator.run_episode(cfg)
-    sensors, actions = episode.series.sensors, episode.series.actions
-    sizes = rotator.SENSOR_BINNER.bins, rotator.ACTION_BINNER.bins
-    tables = estimate_arrays(count_transitions(sensors, actions, *sizes))
-    (values,) = checked_rows(intrinsic_values(*tables))
+    values, (velocities, sensors, g_clamped, forces) = rotator.run_episode(cfg)
+    times = [t * cfg.control_dt for t in range(cfg.steps)]
     out = _ensure_out(args)
 
     transients_path = out / "transients.csv"
@@ -254,16 +252,16 @@ def cmd_rotator_run(args) -> int:
         transients_path,
         ("t", "s", "g_clamped", "f"),
         zip(
-            episode.times,
-            episode.sensor_values[:-1],
-            episode.g_clamped,
-            episode.forces,
+            times,
+            sensors[:-1],
+            g_clamped,
+            forces,
         ),
     )
     series_path = out / "series.csv"
-    steps = zip(episode.times, episode.velocities[:-1], episode.forces / cfg.f_max)
+    steps = zip(times, velocities[:-1], forces / cfg.f_max)
     # final observation has no action yet
-    final = (cfg.steps * cfg.control_dt, episode.velocities[-1], "")
+    final = (cfg.steps * cfg.control_dt, velocities[-1], "")
     _write_csv(series_path, ("t", "s", "a"), itertools.chain(steps, [final]))
 
     for name, value in values.items():

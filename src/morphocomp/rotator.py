@@ -22,6 +22,7 @@ force held constant over each period.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice, zip_longest
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import Binner, DataError, SymbolSeries, count_transitions, estimate_arrays
+from .estimation import Binner, DataError, count_transitions, estimate_arrays
 from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
 from .prob import Alphabet, ComputeError
 
@@ -97,7 +98,10 @@ def load_config(path) -> RotatorConfig:
     """
     path = Path(path)
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if re.search("[\udc80-\udcff]", raw):  # how surrogateescape reads a bad byte
+            raise DataError(f"{path}:{lineno}: not valid UTF-8")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -192,16 +196,6 @@ def control_force(sensor, cfg: RotatorConfig, beta):
     return g_clamped, f
 
 
-@dataclass(frozen=True, eq=False)
-class EpisodeResult:
-    series: SymbolSeries
-    times: np.ndarray  # control-step times, length steps
-    velocities: np.ndarray  # angular velocity at control instants, length steps + 1
-    sensor_values: np.ndarray  # noisy controller input, length steps + 1
-    g_clamped: np.ndarray  # normalised controller response, length steps
-    forces: np.ndarray  # applied force, length steps
-
-
 def _lockstep(cfg: RotatorConfig, eta, beta, run, seed_seqs):
     """Step episodes from rest in lockstep, lane i being run run[i] at eta[i] and beta[i].
 
@@ -242,13 +236,19 @@ def _simulate_batch(cfg: RotatorConfig, seed_seqs):
     return velocities, sensors, g_clamped, forces
 
 
-def run_episode(cfg: RotatorConfig) -> EpisodeResult:
-    """Simulate one episode from rest, returning symbols and raw transients."""
+def _episode_values(sensors, actions) -> dict[str, np.ndarray]:
+    """The intrinsic measures of one episode's binned symbols, each an array of one value."""
+    counts = count_transitions(sensors, actions, SENSOR_BINNER.bins, ACTION_BINNER.bins)
+    return intrinsic_values(*estimate_arrays(counts))
+
+
+def run_episode(cfg: RotatorConfig) -> tuple[dict[str, float], tuple[np.ndarray, ...]]:
+    """One episode from rest: its range-checked measure row and `_simulate_batch` transients."""
     batch = _simulate_batch(cfg, [np.random.SeedSequence(cfg.seed)])
-    velocities, sensors, g_clamped, forces = (transient[0] for transient in batch)
-    series = SymbolSeries(SENSOR_BINNER.index(velocities), ACTION_BINNER.index(forces / cfg.f_max))
-    times = np.arange(cfg.steps) * cfg.control_dt
-    return EpisodeResult(series, times, velocities, sensors, g_clamped, forces)
+    velocities, _, _, forces = transients = tuple(transient[0] for transient in batch)
+    symbols = SENSOR_BINNER.index(velocities), ACTION_BINNER.index(forces / cfg.f_max)
+    (row,) = checked_rows(_episode_values(*symbols))
+    return row, transients
 
 
 def sensor_alphabet() -> Alphabet:
@@ -275,8 +275,7 @@ def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
             actions[:, t] = ACTION_BINNER.index(f / cfg.f_max)
     values = np.empty((len(lanes), len(INTRINSIC_MEASURES)))
     for i, (s, a) in enumerate(zip(sensors, actions)):
-        counts = count_transitions(s, a, SENSOR_BINNER.bins, ACTION_BINNER.bins)
-        measured = intrinsic_values(*estimate_arrays(counts))
+        measured = _episode_values(s, a)
         values[i] = [measured[name][0] for name in INTRINSIC_MEASURES]
     return values
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphocomp import binary
@@ -14,11 +14,11 @@ from morphocomp.binary import (
     sweep,
     world_joint_arrays,
 )
-from morphocomp.measures import ConsistencyError, mc_a, mc_w
-from morphocomp.prob import Alphabet, Joint3, SupportError
+from morphocomp.measures import ConsistencyError
+from morphocomp.prob import SupportError
 
-B = Alphabet(2)
 SWEPT = ("mc_a", "mc_w", "asoc_a", "asoc_w", "c_a", "c_w")
+FLIP_COUPLINGS = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3)
 
 
 def reference_tables(phi, psi, zeta, mu, tau):
@@ -168,14 +168,28 @@ class TestMeasureSurfaces:
         assert mc_a_line[0] - mc_a_line[-1] > 0.9
         assert all(v["mc_w"] <= 1e-9 for v in values)
 
-    def test_sign_flip_symmetry(self):
-        # with an unbiased prior nothing distinguishes the two symbols
-        for maps in [point(2, 1), point(0.5, 3, mu=1.2)]:
-            joint = Joint3(B, B, B, world_joint_arrays(*maps)[0])
-            flipped = Joint3(B, B, B, joint.probs[::-1, ::-1, ::-1].copy())
-            np.testing.assert_allclose(joint.probs, flipped.probs, atol=1e-15)
-            assert mc_a(flipped) == pytest.approx(mc_a(joint), abs=1e-12)
-            assert mc_w(flipped) == pytest.approx(mc_w(joint), abs=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phi=FLIP_COUPLINGS,
+        psi=FLIP_COUPLINGS,
+        mu=FLIP_COUPLINGS,
+        zeta=st.floats(0.0, 5.0),
+        tau=st.floats(-3.0, 3.0),
+    )
+    @example(phi=[2.0], psi=[1.0], mu=[0.0], zeta=binary.STRICT, tau=0.0)
+    @example(phi=[0.5], psi=[3.0], mu=[1.2], zeta=binary.STRICT, tau=0.0)
+    def test_sign_flip_symmetry(self, phi, psi, mu, zeta, tau):
+        # negating w, s and a maps the loop at tau onto the loop at -tau
+        points = [np.array(axis) for axis in zip(*product(phi, psi, mu))]
+        joint, flipped = (
+            world_joint_arrays(*kernel_arrays(points[0], points[1], zeta, points[2], t))
+            for t in (tau, -tau)
+        )
+        np.testing.assert_allclose(flipped, joint[:, ::-1, ::-1, ::-1], rtol=0, atol=1e-15)
+        rows, flipped_rows = (list(sweep(phi, psi, mu, zeta=zeta, tau=t)) for t in (tau, -tau))
+        for row, flipped_row in zip(rows, flipped_rows, strict=True):
+            for name in SWEPT:
+                assert flipped_row[name] == pytest.approx(row[name], abs=1e-12)
 
     def test_sweep_grid_order_and_determinism(self):
         grid = list(sweep((0.0, 1.0), (0.0,), (0.0, 20.0), zeta=20.0, tau=0.0))

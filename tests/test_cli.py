@@ -281,7 +281,7 @@ class TestRotatorCommands:
         assert report["values"]["asoc_a"] == pytest.approx(0.99, abs=0.05)
 
     def test_run_value_out_of_range_exits_three(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "intrinsic_values", lambda *tables: {"asoc_a": np.array([1.5])})
+        monkeypatch.setattr(rotator, "intrinsic_values", lambda *tables: {"asoc_a": np.array([1.5])})
         out = tmp_path / "episode"
         assert run_cli("rotator", "run", "--steps", "50", "--out", str(out)) == 3
         captured = capsys.readouterr()
@@ -369,6 +369,7 @@ class TestBadInputExitsTwo:
             ["rotator", "run", "--eta", "nan", "--steps", "50", "--out", "{out}"],
             ["rotator", "run", "--eta", "inf", "--steps", "50", "--out", "{out}"],
             ["rotator", "run", "--eta", "9e307", "--steps", "5", "--out", "{out}"],
+            ["rotator", "run", "--config", "{config}", "--steps", "5", "--out", "{out}"],
             ["binary-sweep", "--phi", "-1", "--psi", "0", "--mu", "0", "--out", "{out}"],
             ["binary-sweep", "--phi", "nan", "--psi", "0", "--mu", "0", "--out", "{out}"],
             ["binary-sweep", "--phi", "0", "--psi", "inf", "--mu", "0", "--out", "{out}"],
@@ -405,6 +406,7 @@ class TestBadInputExitsTwo:
             "run-eta-nan",
             "run-eta-inf",
             "run-eta-noise-span-overflows",
+            "run-config-byte-not-utf-8",
             "binary-phi-negative",
             "binary-phi-nan",
             "binary-psi-inf",
@@ -435,10 +437,10 @@ class TestBadInputExitsTwo:
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         empty = write_series(tmp_path / "empty.csv", ["0,0,"])
         huge = write_series(tmp_path / "huge.csv", ["0,100000000000,0", "1,0,1", "2,1,"])
-        argv = [
-            a.format(out=tmp_path / "out", series=series, empty=empty, huge=huge, tmp=tmp_path)
-            for a in argv
-        ]
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"version = 1\nbeta = 2.0\xff\n")
+        paths = {"series": series, "empty": empty, "huge": huge, "config": config}
+        argv = [a.format(out=tmp_path / "out", tmp=tmp_path, **paths) for a in argv]
         assert run_cli(*argv) == 2
         (line,) = capsys.readouterr().err.splitlines()  # no warning about a rejected value
         assert line.startswith("error: ")

@@ -257,11 +257,11 @@ class TestController:
 class TestEpisodes:
     def test_same_seed_same_series(self):
         cfg = RotatorConfig(eta=0.3, beta=1.0, steps=400, seed=42)
-        first = run_episode(cfg)
-        second = run_episode(cfg)
-        np.testing.assert_array_equal(first.series.sensors, second.series.sensors)
-        np.testing.assert_array_equal(first.series.actions, second.series.actions)
-        np.testing.assert_array_equal(first.forces, second.forces)
+        first_row, first = run_episode(cfg)
+        second_row, second = run_episode(cfg)
+        assert first_row == second_row
+        for first_arr, second_arr in zip(first, second, strict=True):
+            np.testing.assert_array_equal(first_arr, second_arr)
 
     def test_batch_rows_independent_of_batch_size(self):
         cfg = RotatorConfig(eta=0.3, beta=1.0, steps=300)
@@ -274,43 +274,40 @@ class TestEpisodes:
 
     def test_shapes_and_alignment(self):
         cfg = RotatorConfig(steps=250, beta=2.0)
-        episode = run_episode(cfg)
-        assert len(episode.series.sensors) == 251
-        assert len(episode.series.actions) == 250
-        assert episode.velocities.shape == (251,)
-        assert episode.forces.shape == (250,)
+        row, (velocities, sensor_values, g_clamped, forces) = run_episode(cfg)
+        assert list(row) == list(INTRINSIC_MEASURES)
+        assert velocities.shape == sensor_values.shape == (251,)
+        assert g_clamped.shape == forces.shape == (250,)
 
     def test_wide_deadband_goes_silent(self):
         # after spin-up the wheel coasts inside the deadband for the rest of
         # a full-length episode
         cfg = RotatorConfig(eta=0.0, beta=2.0, steps=5000)
-        episode = run_episode(cfg)
-        assert np.any(episode.forces[:200] != 0.0)
-        assert np.all(episode.forces[300:] == 0.0)
+        _, (_, _, _, forces) = run_episode(cfg)
+        assert np.any(forces[:200] != 0.0)
+        assert np.all(forces[300:] == 0.0)
 
     def test_tight_control_tracks_target(self):
         # gravity ripples the velocity around the target once per revolution;
         # the mean sits near the target with a bounded ripple
         cfg = RotatorConfig(eta=0.0, beta=0.0, steps=1000)
-        episode = run_episode(cfg)
-        settled = episode.velocities[300:]
+        _, (velocities, _, _, _) = run_episode(cfg)
+        settled = velocities[300:]
         assert settled.mean() == pytest.approx(2 * math.pi, abs=0.5)
         assert np.abs(settled - 2 * math.pi).max() < 2.0
 
     def test_noiseless_sensor_equals_velocity(self):
         cfg = RotatorConfig(eta=0.0, beta=2.0, steps=200)
-        episode = run_episode(cfg)
-        np.testing.assert_array_equal(episode.sensor_values, episode.velocities)
+        _, (velocities, sensor_values, _, _) = run_episode(cfg)
+        np.testing.assert_array_equal(sensor_values, velocities)
 
     def test_binned_symbols_match_raw_streams(self):
         cfg = RotatorConfig(eta=0.2, beta=1.0, steps=200, seed=9)
-        episode = run_episode(cfg)
-        np.testing.assert_array_equal(
-            episode.series.sensors, SENSOR_BINNER.index(episode.velocities)
-        )
-        np.testing.assert_array_equal(
-            episode.series.actions, ACTION_BINNER.index(episode.forces / cfg.f_max)
-        )
+        row, (velocities, _, _, forces) = run_episode(cfg)
+        symbols = SENSOR_BINNER.index(velocities), ACTION_BINNER.index(forces / cfg.f_max)
+        series = SymbolSeries(*symbols)
+        model = estimate(series, sensor_alphabet(), action_alphabet())
+        assert row == intrinsic_measures(model)
 
 
 class TestSweep:
@@ -434,17 +431,27 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("version = 1\nbeta 2.0\n", ":2: expected `key = value`"),
-            ("version = 2\nbeta = 2.0\n", ": unsupported config version '2'"),
+            (b"version = 1\nbeta 2.0\n", ":2: expected `key = value`"),
+            (b"version = 2\nbeta = 2.0\n", ": unsupported config version '2'"),
+            (b"version = 1\nbeta = 2.0\xff\n", ":2: not valid UTF-8"),
+            # str.splitlines numbers the lines: a form feed ends one
+            (b"version = 1\x0cseed = 4\n# caf\xe9\n", ":3: not valid UTF-8"),
+            (b"version = 1\nbeta 2.0\nseed = \xff4\n", ":2: expected `key = value`"),
         ],
-        ids=["no-equals-sign", "version-2"],
+        ids=[
+            "no-equals-sign",
+            "version-2",
+            "byte-not-utf-8",
+            "byte-not-utf-8-in-comment-after-form-feed",
+            "byte-not-utf-8-after-earlier-fault",
+        ],
     )
     def test_reject_malformed_line_and_future_version(self, tmp_path, text, message):
         from morphocomp.estimation import DataError
         from morphocomp.rotator import load_config
 
         path = tmp_path / "bad.cfg"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(DataError) as caught:
             load_config(path)
         assert isinstance(caught.value, ValueError)

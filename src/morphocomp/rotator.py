@@ -98,7 +98,7 @@ def load_config(path) -> RotatorConfig:
     """
     path = Path(path)
     entries: dict[str, str] = {}
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if re.search("[\udc80-\udcff]", raw):  # how surrogateescape reads a bad byte
             raise DataError(f"{path}:{lineno}: not valid UTF-8")
@@ -132,50 +132,64 @@ def load_config(path) -> RotatorConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float):
-    """Advance (theta, theta_dot) by dt under constant force f.  Array-safe.
+def _rk4(cfg: RotatorConfig, dt: float, lanes: tuple[int, ...]):
+    """An RK4 stepper for a batch of lanes: the state y = (theta, theta_dot), at rest, and `advance`.
 
-    RK4 on theta' = theta_dot: each stage's velocity is both the angle's
-    slope and the velocity at which that stage's acceleration is taken, so
-    a stage's (velocity, acceleration) rows are its slope k of the state
-    y = (theta, theta_dot).  A stage's acceleration is
-    ((f - fl*v) - mg*sin(angle)) / ml, the next stage is y + c*k, and a
-    substep ends at y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4), each rounded in
-    that order.  Every substep writes into buffers made once per call.
+    `advance(f)` moves y, shape (2, *lanes), on by dt under constant force f,
+    in place.  RK4 on theta' = theta_dot: each stage's velocity is both the
+    angle's slope and the velocity at which that stage's acceleration is
+    taken, so a stage's (velocity, acceleration) rows are its slope k of y.  A
+    stage's acceleration is ((f - fl*v) - mg*sin(angle)) / ml, the next stage
+    is y + c*k, and a substep ends at y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4),
+    each rounded in that order.  The buffers, their views and the constants
+    are made once per stepper; every substep's 37 ufunc calls write into
+    them, each ufunc a local name and its out passed by position, as a
+    module lookup or a keyword costs more per call.
     """
     h = dt / RK4_SUBSTEPS
     fl, mg, ml = cfg.friction * cfg.length, cfg.mass * cfg.gravity, cfg.mass * cfg.length
     # 0-d arrays, as a ufunc converts a Python float operand on every call
     fl, mg, ml, half, whole, two, sixth = map(np.array, (fl, mg, ml, 0.5 * h, h, 2.0, h / 6.0))
-    lanes = np.broadcast(theta, theta_dot, f).shape
-    stages = np.empty((4, 3, *lanes))  # per stage: angle, velocity, acceleration
+    stages = np.zeros((4, 3, *lanes))  # per stage: angle, velocity, acceleration
     y, slopes = stages[0, :2], stages[:, 1:]
-    y[0], y[1] = theta, theta_dot
     k1, k2, k3, k4 = slopes
     rows = [[stages[n, i, ...] for i in range(3)] for n in range(4)]  # `...`: 0-d views with no lanes
     moves = [(c, slopes[n], stages[n + 1, :2]) for n, c in enumerate((half, half, whole))]
+    plan = list(zip_longest(rows, moves))
     # the acceleration passes between buffers: numpy is slow to write one element over its input
     drag, net, sine = (np.empty(lanes) for _ in range(3))
     step, total = np.empty((2, 2, *lanes))
-    for _ in range(RK4_SUBSTEPS):
-        for (angle, v, a), move in zip_longest(rows, moves):
-            np.multiply(fl, v, out=drag)
-            np.subtract(f, drag, out=net)
-            np.sin(angle, out=sine)
-            np.multiply(mg, sine, out=drag)
-            np.subtract(net, drag, out=sine)
-            np.divide(sine, ml, out=a)
-            if move:
-                c, slope, following = move
-                np.multiply(c, slope, out=step)
-                np.add(y, step, out=following)
-        np.multiply(two, k2, out=total)
-        np.add(k1, total, out=total)
-        np.multiply(two, k3, out=step)
-        np.add(total, step, out=total)
-        np.add(total, k4, out=total)
-        np.multiply(sixth, total, out=total)
-        np.add(y, total, out=y)
+    multiply, subtract, add, divide, sin = np.multiply, np.subtract, np.add, np.divide, np.sin
+
+    def advance(f):
+        for _ in range(RK4_SUBSTEPS):
+            for (angle, v, a), move in plan:
+                multiply(fl, v, drag)
+                subtract(f, drag, net)
+                sin(angle, sine)
+                multiply(mg, sine, drag)
+                subtract(net, drag, sine)
+                divide(sine, ml, a)
+                if move:
+                    c, slope, following = move
+                    multiply(c, slope, step)
+                    add(y, step, following)
+            multiply(two, k2, total)
+            add(k1, total, total)
+            multiply(two, k3, step)
+            add(total, step, total)
+            add(total, k4, total)
+            multiply(sixth, total, total)
+            add(y, total, y)
+
+    return y, advance
+
+
+def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float):
+    """Advance (theta, theta_dot) by dt under constant force f.  Array-safe: one step of a fresh `_rk4`."""
+    y, advance = _rk4(cfg, dt, np.broadcast(theta, theta_dot, f).shape)
+    y[0], y[1] = theta, theta_dot
+    advance(f)
     return y[0], y[1]
 
 
@@ -199,28 +213,28 @@ def control_force(sensor, cfg: RotatorConfig, beta):
 def _lockstep(cfg: RotatorConfig, eta, beta, run, seed_seqs):
     """Step episodes from rest in lockstep, lane i being run run[i] at eta[i] and beta[i].
 
-    Yields (theta_dot, sensor, g_clamped, force) lane arrays at each control instant,
-    with no action (None) at the last.  Each lane draws its noise from seed_seqs[i]
-    up front, so it is bit-identical whatever runs beside it.
+    Yields fresh (theta_dot, sensor, g_clamped, force) lane arrays at each control
+    instant, with no action (None) at the last.  Each lane draws its noise from
+    seed_seqs[i] up front, so it is bit-identical whatever runs beside it.
     """
     noise = np.empty((len(seed_seqs), cfg.steps + 1))
     for i, seq in enumerate(seed_seqs):
         noise[i] = np.random.default_rng(seq).uniform(-eta[i], eta[i], size=cfg.steps + 1)
     noise *= cfg.theta_dot_target
-    theta, theta_dot = np.zeros((2, len(seed_seqs)))
+    y, advance = _rk4(cfg, cfg.control_dt, (len(seed_seqs),))
     for t in range(cfg.steps):
+        theta_dot = y[1].copy()  # the stepper moves y in place
         s = theta_dot + noise[:, t]
         g, f = control_force(s, cfg, beta)
         yield theta_dot, s, g, f
-        theta, theta_dot = _integrate(theta, theta_dot, f, cfg, cfg.control_dt)
-        finite = np.isfinite(theta) & np.isfinite(theta_dot)
-        if not finite.all():
-            i = int(np.argmin(finite))
+        advance(f)
+        if not np.isfinite(y).all():
+            i = int(np.argmin(np.isfinite(y).all(axis=0)))
             raise NumericalError(
                 f"eta={eta[i]:g}, beta={beta[i]:g}, run={int(run[i])}: integration diverged "
                 f"at control step {t} (t = {t * cfg.control_dt:g} s)"
             )
-    yield theta_dot, theta_dot + noise[:, cfg.steps], None, None
+    yield y[1].copy(), y[1] + noise[:, cfg.steps], None, None
 
 
 def _simulate_batch(cfg: RotatorConfig, seed_seqs):

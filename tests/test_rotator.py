@@ -186,6 +186,32 @@ class TestDynamics:
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 300),
+        st.integers(1, 8),
+        st.sampled_from([0.01, 0.05]),
+        st.builds(
+            RotatorConfig,
+            friction=st.floats(0.01, 5.0),
+            mass=st.floats(0.1, 10.0),
+            length=st.floats(0.1, 10.0),
+            gravity=st.floats(0.0, 20.0),
+        ),
+    )
+    def test_stepper_matches_chained_reference_bits(self, data, lanes, k, dt, cfg):
+        # one stepper advanced k times: a buffer carried stale from one step to the next shows here
+        lane_values = arrays(np.float64, lanes, elements=st.floats(-50.0, 50.0))
+        theta, theta_dot = data.draw(lane_values), data.draw(lane_values)
+        y, advance = rotator._rk4(cfg, dt, (lanes,))
+        y[0], y[1] = theta, theta_dot
+        for _ in range(k):
+            f = data.draw(lane_values)
+            advance(f)
+            theta, theta_dot = integrate_reference(theta, theta_dot, f, cfg, dt)
+            assert np.array_equal(y.view(np.int64), np.stack([theta, theta_dot]).view(np.int64))
+
     def test_energy_conserved_without_force(self):
         seconds = 50
         assert free_swing_energy_drift(seconds) < 1e-6 * seconds
@@ -195,6 +221,16 @@ class TestDynamics:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
                 _simulate_batch(cfg, [np.random.SeedSequence(0)])
+
+    def test_divergence_names_the_diverging_lane(self):
+        # beta = 7 exceeds the velocity error at rest, so lane 0 never pushes;
+        # lane 1's 1e308 force overflows the integration
+        cfg = RotatorConfig(f_max=1e308)
+        seqs = [np.random.SeedSequence(seed) for seed in (0, 1)]
+        lanes = _lockstep(cfg, np.zeros(2), np.array([7.0, 0.0]), [3, 4], seqs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^eta=0, beta=0, run=4: integration diverged at control step \d+ "):
+                list(lanes)
 
 
 class TestController:
@@ -395,6 +431,13 @@ class TestConfigFile:
         assert cfg.seed == 4
         assert cfg.steps == 5000
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        from morphocomp.rotator import load_config
+
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfversion = 1\nbeta = 2.0\n")
+        assert load_config(path) == RotatorConfig(beta=2.0)
+
     def test_reject_missing_version(self, tmp_path):
         from morphocomp.estimation import DataError
         from morphocomp.rotator import load_config
@@ -434,6 +477,7 @@ class TestConfigFile:
             (b"version = 1\nbeta 2.0\n", ":2: expected `key = value`"),
             (b"version = 2\nbeta = 2.0\n", ": unsupported config version '2'"),
             (b"version = 1\nbeta = 2.0\xff\n", ":2: not valid UTF-8"),
+            (b"\xef\xbb\xbfversion = 1\nbeta = 2.0\xff\n", ":2: not valid UTF-8"),
             # str.splitlines numbers the lines: a form feed ends one
             (b"version = 1\x0cseed = 4\n# caf\xe9\n", ":3: not valid UTF-8"),
             (b"version = 1\nbeta 2.0\nseed = \xff4\n", ":2: expected `key = value`"),
@@ -442,6 +486,7 @@ class TestConfigFile:
             "no-equals-sign",
             "version-2",
             "byte-not-utf-8",
+            "byte-not-utf-8-after-byte-order-mark",
             "byte-not-utf-8-in-comment-after-form-feed",
             "byte-not-utf-8-after-earlier-fault",
         ],
@@ -593,6 +638,21 @@ class TestSweepEqualsCells:
     def test_cell_measures_bits_are_pinned(self, eta, beta, expected):
         values = rotator.cell_measures(RotatorConfig(steps=200, seed=3), eta, beta, runs=3)
         assert {name: value.hex() for name, value in values.items()} == expected
+
+    def test_held_records_keep_their_values(self):
+        # every yielded array is its own, not a view of the stepper's state
+        cfg = RotatorConfig(steps=50)
+
+        def records():
+            seqs = [np.random.SeedSequence(seed) for seed in (7, 8)]
+            return _lockstep(cfg, np.array([0.3, 0.0]), np.array([1.0, 0.0]), range(2), seqs)
+
+        held = list(records())
+        read = [[None if x is None else x.copy() for x in step] for step in records()]
+        assert len(held) == len(read) == cfg.steps + 1
+        for kept, fresh in zip(held, read):
+            for x, want in zip(kept, fresh):
+                assert (x is None and want is None) or np.array_equal(x.view(np.int64), want.view(np.int64))
 
     def test_lane_does_not_depend_on_its_neighbours(self):
         cfg = RotatorConfig(steps=200)

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .estimation import Binner, SymbolSeries, estimate, joint_from_model, read_symbol_series
+from .estimation import Binner, SymbolSeries, estimate, joint_from_model
 from .measures import (
     IntrinsicModel,
     action_prior,
@@ -55,5 +55,4 @@ __all__ = [
     "kl",
     "mc_a",
     "mc_w",
-    "read_symbol_series",
 ]

@@ -28,13 +28,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__, binary, rotator
-from .estimation import (
-    Binner,
-    count_transitions,
-    estimate_arrays,
-    read_symbol_series,
-    read_transition_counts,
-)
+from .estimation import Binner, estimate_arrays, read_transition_counts
 from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
 from .prob import ComputeError
 from .rotator import RotatorConfig
@@ -48,7 +42,8 @@ BETA_RANGE = (0.0, 2.0)
 
 # |S| x |A| x |S| float64 tables `measure` may hold at once.  Measured under tracemalloc,
 # 3.0-3.1 in `estimate_arrays`, the int64 counts included, then 5.2 in `intrinsic_values`,
-# the model included and the counts freed; a parsed block or the series comes on top
+# the model included and the counts freed; a parsed block comes on top.  Growing an inferred count
+# table holds at most 4.9 int64 tables: the old one and one up to 1.5 x 1.5 x 1.5 the final size
 PEAK_TABLES = 7
 
 
@@ -137,35 +132,29 @@ def cmd_measure(args) -> int:
             )
         if names.count(name) > 1:
             raise UsageError(f"measure {name!r} is named more than once in --measures")
-    specs = ((sensor_binner, args.sensor_size), (action_binner, args.action_size))
-    reader = {"sensor_binner": sensor_binner, "sensor_size": args.sensor_size,
-              "action_binner": action_binner, "action_size": args.action_size}
-    n_s, n_a = (size if binner is None else binner.bins for binner, size in specs)
-    series = None
-    if n_s is None or n_a is None:
-        # an inferred alphabet is sized by its largest symbol, so the whole series is read first
-        series, s_alph, a_alph = read_symbol_series(args.input, **reader)
-        n_s, n_a = s_alph.size, a_alph.size
-    needed = 8 * n_s**2 * n_a
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if PEAK_TABLES * needed > memory:
-        s_from, a_from = (
-            f"--{c}-bins" if vars(args)[f"{c}_bins"] else f"--{c}-size" if vars(args)[f"{c}_size"]
-            else f"inferred from column {c[0]}" for c in ("sensor", "action")
-        )
-        raise UsageError(
-            f"a {n_s} x {n_a} x {n_s} model (|S|: {s_from}; |A|: {a_from}) "
-            f"needs {needed} bytes of float64, more than the {memory // PEAK_TABLES} bytes per "
-            f"table with {PEAK_TABLES} tables held at once in the {memory} bytes of physical memory"
-        )
-    if series is None:
-        counts = read_transition_counts(args.input, **reader)
-    else:
-        counts = count_transitions(series.sensors, series.actions, n_s, n_a)
-    transitions = int(counts.sum())
+
+    def check(n_s, n_a):
+        needed = 8 * n_s**2 * n_a
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if PEAK_TABLES * needed > memory:
+            s_from, a_from = (
+                f"--{c}-bins" if vars(args)[f"{c}_bins"] else f"--{c}-size" if vars(args)[f"{c}_size"]
+                else f"inferred from column {c[0]}" for c in ("sensor", "action")
+            )
+            raise UsageError(
+                f"a {n_s} x {n_a} x {n_s} model (|S|: {s_from}; |A|: {a_from}) "
+                f"needs {needed} bytes of float64, more than the {memory // PEAK_TABLES} bytes per "
+                f"table with {PEAK_TABLES} tables held at once in the {memory} bytes of physical memory"
+            )
+
+    # the check runs before each allocation of the table, which an inferred size grows
+    counts = read_transition_counts(
+        args.input, sensor_binner, action_binner, args.sensor_size, args.action_size, check=check
+    )
+    (n_s, n_a, _), transitions = counts.shape, int(counts.sum())
     tables = estimate_arrays(counts)
-    # the series and counts go before the measures' working tables are formed
-    del series, counts
+    # the counts go before the measures' working tables are formed
+    del counts
     (values,) = checked_rows(intrinsic_values(*tables, names))
     document = {"values": values, "metadata": {
         "input": str(args.input),

@@ -11,7 +11,8 @@ counts, as the checked tables that the measures' array core takes;
 `measure` and the rotator count and measure each episode that way,
 building no objects; a symbol outside its alphabet raises DataError.
 :func:`read_transition_counts` counts a CSV block by block as it is
-parsed, so its memory does not grow with the series: numpy's C reader
+parsed, growing the table as larger symbols arrive when a size is
+inferred, so its memory does not grow with the series: numpy's C reader
 parses ASCII blocks, and a csv row loop those it declines, where a byte
 that is not UTF-8 is a fault in file order.  :func:`estimate` builds the
 public API's validated objects from the same unchecked tables, so their
@@ -148,24 +149,48 @@ def count_transitions(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: i
     return _count_blocks([(sensors, actions)], n_s, n_a)
 
 
-def _count_blocks(blocks, n_s: int, n_a: int) -> np.ndarray:
+def _count_blocks(blocks, n_s, n_a, check=None):
     """The transition counts of a series given as consecutive (sensors, actions) blocks.
 
     A block may hold as many actions as sensors; its last action then leads
     to the next block's first sensor, or, in the last block, to nothing and
-    is not counted.
+    is not counted.  A size of None is inferred as the largest symbol + 1,
+    or 1 with none: the table grows, zero-padded, as blocks with larger
+    symbols arrive.  `check(n_s, n_a)` runs before each allocation of it.
     """
-    counts = np.zeros((n_s, n_a, n_s), dtype=np.int64)
+    sizes = [1 if size is None else size for size in (n_s, n_a)]
+    inferred = [axis for axis, size in enumerate((n_s, n_a)) if size is None]
+    counts = np.zeros((0, 0, 0), dtype=np.int64)
+    if not inferred:
+        counts = _grown(counts, sizes, check)
     edge = ()
     for block in blocks:
         # narrow symbols are widened for the index arithmetic; int64 ones are not copied
-        sensors, actions = (symbols.astype(np.int64, copy=False) for symbols in block)
+        sensors, actions = block = [symbols.astype(np.int64, copy=False) for symbols in block]
+        for axis in inferred:
+            sizes[axis] = max(sizes[axis], int(block[axis].max(initial=-1)) + 1)
+        if any(map(operator.gt, sizes, counts.shape)):
+            counts = _grown(counts, sizes, check)
+        _, width_a, width_s = counts.shape
         if edge:
             counts[(*edge, sensors[0])] += 1
         steps = len(sensors) - 1
-        np.add.at(counts.reshape(-1), (sensors[:-1] * n_a + actions[:steps]) * n_s + sensors[1:], 1)
+        index = (sensors[:-1] * width_a + actions[:steps]) * width_s + sensors[1:]
+        np.add.at(counts.reshape(-1), index, 1)
         edge = (sensors[-1], actions[-1]) if len(actions) > steps else ()
-    return counts
+    n_s, n_a = sizes
+    return counts if counts.shape == (n_s, n_a, n_s) else counts[:n_s, :n_a, :n_s].copy()
+
+
+def _grown(counts, sizes, check):
+    """The table zero-padded to hold `sizes`; an axis grows by half at least, so it is copied rarely."""
+    if check is not None:
+        check(*sizes)
+    held = counts.shape[:2]
+    n_s, n_a = (old if size <= old else max(size, old * 3 // 2) for size, old in zip(sizes, held))
+    grown = np.zeros((n_s, n_a, n_s), dtype=np.int64)
+    grown[: held[0], : held[1], : held[0]] = counts
+    return grown
 
 
 def _tables(counts: np.ndarray):
@@ -208,68 +233,28 @@ def joint_from_model(model: IntrinsicModel) -> Joint3:
     return compose_joint(model.sensor_prior, model.policy, model.world_model)
 
 
-def read_symbol_series(
-    path,
-    sensor_binner: Binner | None = None,
-    action_binner: Binner | None = None,
-    sensor_size: int | None = None,
-    action_size: int | None = None,
-) -> tuple[SymbolSeries, Alphabet, Alphabet]:
-    """Read a `t,s,a` CSV into a SymbolSeries plus its two alphabets.
-
-    Columns `s`/`a` hold either integer symbols (alphabet size given or
-    inferred as max+1) or reals, which require the corresponding binner.
-    The last row may leave `a` empty to record the final sensor reading;
-    otherwise the trailing action has no observed successor and is dropped.
-
-    The series is joined from the checked symbol blocks of
-    `_symbol_blocks`, one column at a time, so the reader peaks at about
-    25 bytes per row: the blocks' 16, one joined int64 column's 8 and the
-    parse of one block.  A malformed file raises a DataError naming the
-    file line at fault.
-    """
-    specs = ((sensor_binner, sensor_size), (action_binner, action_size))
-    sensors, actions = zip(*_symbol_blocks(Path(path), specs))
-    # rebinding frees the sensor blocks before the actions are joined
-    sensors = np.concatenate(sensors)
-    return _series((sensors, np.concatenate(actions)), specs)
-
-
 def read_transition_counts(
     path,
     sensor_binner: Binner | None = None,
     action_binner: Binner | None = None,
     sensor_size: int | None = None,
     action_size: int | None = None,
+    *,
+    check=None,
 ) -> np.ndarray:
     """The :func:`count_transitions` table of a `t,s,a` CSV, counted block by block as it is parsed.
 
-    Takes the options of :func:`read_symbol_series`, but each column needs
-    a binner or an alphabet size, which sizes the table before the file is
-    read.  The reader holds the table and one block of `BLOCK_ROWS` lines,
-    however long the file.
+    Columns `s`/`a` hold integer symbols, their alphabet size given or
+    inferred as max+1, or reals, which need the column's binner.  The last
+    row may leave `a` blank; a trailing action that is not blank has no
+    successor and is not counted, but sizes an inferred alphabet.  The
+    reader holds the table and one block of `BLOCK_ROWS` lines, however
+    long the file.  `check(n_s, n_a)` runs before each allocation of the
+    table: with both sizes known, before the file is read.
     """
     specs = ((sensor_binner, sensor_size), (action_binner, action_size))
     n_s, n_a = (size if binner is None else binner.bins for binner, size in specs)
-    return _count_blocks(_symbol_blocks(Path(path), specs), n_s, n_a)
-
-
-def _series(columns, specs):
-    """The series and alphabets of checked sensor and action symbols."""
-    sensors, actions = columns
-    alphabets = [_alphabet(symbols, *spec) for symbols, spec in zip(columns, specs)]
-    if len(actions) == len(sensors):
-        # no successor recorded for the last action
-        actions = actions[:-1]
-    return (SymbolSeries(sensors, actions), *alphabets)
-
-
-def _alphabet(symbols, binner, size):
-    if binner is not None:
-        return binner.alphabet()
-    if size is None:
-        size = int(symbols.max()) + 1 if len(symbols) else 1
-    return Alphabet(size)
+    return _count_blocks(_symbol_blocks(Path(path), specs), n_s, n_a, check)
 
 
 def _symbols(block, specs):

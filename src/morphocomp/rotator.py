@@ -75,6 +75,8 @@ class RotatorConfig:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.f_max <= 0:
             raise ValueError("f_max must be positive")
+        if self.mass <= 0 or self.length <= 0:
+            raise ValueError("mass and length must be positive")
         if self.control_dt <= 0:
             raise ValueError("control_dt must be positive")
         if self.steps < 1:
@@ -227,7 +229,9 @@ def _lockstep(cfg: RotatorConfig, eta, beta, run, seed_seqs):
         s = theta_dot + noise[:, t]
         g, f = control_force(s, cfg, beta)
         yield theta_dot, s, g, f
-        advance(f)
+        # a diverging step raises NumericalError below, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            advance(f)
         if not np.isfinite(y).all():
             i = int(np.argmin(np.isfinite(y).all(axis=0)))
             raise NumericalError(

@@ -124,16 +124,21 @@ class TestMeasureCommand:
 
 
 class TestMeasureMemory:
-    """With both alphabets sized by flags, `measure` holds the counts and one block, not the series."""
+    """Sized by flags or inferred, `measure` holds the counts and one block, not the series."""
 
     @staticmethod
-    def peak(tmp_path, rows):
+    def peak(tmp_path, rows, inferred=False):
         rng = np.random.default_rng(0)
-        sensors, actions = rng.uniform(0.0, 8.0, rows).tolist(), rng.uniform(-1.0, 1.0, rows).tolist()
+        if inferred:
+            # integer symbols, their alphabets sized by the largest
+            sensors, actions = rng.integers(0, 30, (2, rows)).tolist()
+            flags = []
+        else:
+            sensors, actions = rng.uniform(0.0, 8.0, rows).tolist(), rng.uniform(-1.0, 1.0, rows).tolist()
+            flags = ["--sensor-bins", "0:8:30", "--action-bins=-1:1:30"]
         path = tmp_path / f"series-{rows}.csv"
         body = "".join(f"{t},{s!r},{a!r}\n" for t, (s, a) in enumerate(zip(sensors, actions)))
         path.write_text("t,s,a\n" + body)
-        flags = ["--sensor-bins", "0:8:30", "--action-bins=-1:1:30"]
         tracemalloc.start()
         try:
             code = run_cli("measure", "--input", str(path), *flags)
@@ -146,6 +151,11 @@ class TestMeasureMemory:
     def test_peak_does_not_grow_with_the_series(self, tmp_path, capsys):
         small, large = (self.peak(tmp_path, rows) for rows in (20_000, 200_000))
         # the series alone would take 16 bytes a row, 2.9 MB more on the larger file
+        assert abs(large - small) < 1_000_000
+
+    def test_peak_does_not_grow_with_the_series_with_inferred_sizes(self, tmp_path, capsys):
+        small, large = (self.peak(tmp_path, rows, inferred=True) for rows in (20_000, 200_000))
+        # reading the whole series first took about 32 bytes a row, 5.8 MB more on the larger file
         assert abs(large - small) < 1_000_000
 
 
@@ -515,10 +525,11 @@ class TestBadInputExitsTwo:
         # peak of 7 tables, within this test's machines' memory
         series = write_series(tmp_path / "series.csv", ["0,5000,1", "1,0,0", "2,1,"])
 
-        def count_transitions(sensors, actions, n_s, n_a):
+        def estimate_arrays(counts):
+            n_s, n_a, _ = counts.shape
             raise ConsistencyError(f"reached with {n_s} x {n_a}")
 
-        monkeypatch.setattr(cli, "count_transitions", count_transitions)
+        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 5001 x 2\n"
 
@@ -536,7 +547,7 @@ class TestBadInputExitsTwo:
     ):
         # one 3 x 2 x 3 table takes 144 bytes, and measure holds 7 at once: 1,008
         self.physical_memory(monkeypatch, memory)
-        monkeypatch.setattr(cli, "count_transitions", None)
+        monkeypatch.setattr(cli, "estimate_arrays", None)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 2
         assert capsys.readouterr().err == (
@@ -550,23 +561,24 @@ class TestBadInputExitsTwo:
     ):
         self.physical_memory(monkeypatch, 7 * 144)
 
-        def count_transitions(sensors, actions, n_s, n_a):
+        def estimate_arrays(counts):
+            n_s, n_a, _ = counts.shape
             raise ConsistencyError(f"reached with {n_s} x {n_a}")
 
-        monkeypatch.setattr(cli, "count_transitions", count_transitions)
+        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 3
         assert capsys.readouterr().err == "error: reached with 3 x 2\n"
 
     @pytest.mark.parametrize("numpy_error", [True, False], ids=["numpy-allocation", "bare"])
     def test_memory_error_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch, numpy_error):
-        def count_transitions(sensors, actions, n_s, n_a):
+        def estimate_arrays(counts):
             # 8 PiB is beyond any address space, so the request fails at once
             if numpy_error:
                 np.empty(1 << 50)
             raise MemoryError
 
-        monkeypatch.setattr(cli, "count_transitions", count_transitions)
+        monkeypatch.setattr(cli, "estimate_arrays", estimate_arrays)
         series = write_series(tmp_path / "series.csv", ["0,0,1", "1,2,0", "2,1,"])
         assert run_cli("measure", "--input", str(series)) == 2
         expected = "error: out of memory"
@@ -632,6 +644,17 @@ class TestComputeErrorExitsThree:
             error = capsys.readouterr().err.splitlines()[-1]
             assert error == "error: phi=3, psi=0, mu=0: joint contains non-finite entries"
             assert not (out / "binary_sweep.csv").exists()
+
+
+    # each step overflows the stepper's arithmetic at once
+    @pytest.mark.parametrize("entry", ["gravity = 1e308", "control_dt = 1e300"])
+    def test_diverging_stepper_exits_three_without_a_warning(self, tmp_path, capsys, entry):
+        config = tmp_path / "rotator.cfg"
+        config.write_text(f"version = 1\n{entry}\n")
+        argv = ["rotator", "run", "--config", str(config), "--steps", "200", "--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: eta=0, beta=0, run=0: integration diverged at control step 0")
 
 
 class TestParserBehaviour:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import tempfile
 import tracemalloc
@@ -25,10 +26,9 @@ from morphocomp.estimation import (
     estimate,
     estimate_arrays,
     joint_from_model,
-    read_symbol_series,
     read_transition_counts,
 )
-from morphocomp.measures import IntrinsicModel
+from morphocomp.measures import INTRINSIC_MEASURES, IntrinsicModel, checked_rows, intrinsic_values
 from morphocomp.prob import Alphabet, Distribution, Kernel2, Kernel3
 
 
@@ -384,57 +384,50 @@ class TestCsv:
 
     def test_integer_round_trip(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,1\n1,2,0\n2,1,\n")
-        series, s_alph, a_alph = read_symbol_series(path, sensor_size=3, action_size=2)
-        np.testing.assert_array_equal(series.sensors, [0, 2, 1])
-        np.testing.assert_array_equal(series.actions, [1, 0])
-        assert (s_alph.size, a_alph.size) == (3, 2)
+        counts = read_transition_counts(path, sensor_size=3, action_size=2)
+        assert_counts(counts, [0, 2, 1], [1, 0], 3, 2)
 
     def test_trailing_action_dropped_without_final_row(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,1\n1,2,0\n2,1,1\n")
-        series, _, _ = read_symbol_series(path, sensor_size=3, action_size=2)
-        np.testing.assert_array_equal(series.sensors, [0, 2, 1])
-        np.testing.assert_array_equal(series.actions, [1, 0])
+        counts = read_transition_counts(path, sensor_size=3, action_size=2)
+        assert_counts(counts, [0, 2, 1], [1, 0], 3, 2)
 
     def test_alphabets_inferred(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,1\n1,4,0\n2,1,\n")
-        _, s_alph, a_alph = read_symbol_series(path)
-        assert (s_alph.size, a_alph.size) == (5, 2)
+        assert read_transition_counts(path).shape == (5, 2, 5)
 
     def test_real_columns_binned(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0.1,-0.9\n1,7.9,0.9\n2,4.0,\n")
-        series, s_alph, _ = read_symbol_series(
-            path,
-            sensor_binner=Binner(0.0, 8.0, 30),
-            action_binner=Binner(-1.0, 1.0, 30),
-        )
-        np.testing.assert_array_equal(series.sensors, [0, 29, 15])
-        np.testing.assert_array_equal(series.actions, [1, 28])
-        assert s_alph.size == 30
+        options = {"sensor_binner": Binner(0.0, 8.0, 30), "action_binner": Binner(-1.0, 1.0, 30)}
+        _, (sensors, actions) = row_loop_columns(path, column_specs(options))
+        np.testing.assert_array_equal(sensors, [0, 29, 15])
+        np.testing.assert_array_equal(actions, [1, 28])
+        assert_counts(read_transition_counts(path, **options), [0, 29, 15], [1, 28], 30, 30)
 
     def test_symbol_exceeding_declared_alphabet(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,0\n1,31,1\n2,1,\n")
         with pytest.raises(DataError, match="31"):
-            read_symbol_series(path, sensor_size=30, action_size=2)
+            read_transition_counts(path, sensor_size=30, action_size=2)
 
     def test_real_value_without_binner(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0.5,0\n1,1,\n")
         with pytest.raises(DataError, match="binner"):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "time,sensor,action\n0,0,0\n")
         with pytest.raises(DataError, match="header"):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")
         with pytest.raises(DataError):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     def test_interior_empty_action_rejected(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,\n1,1,0\n2,0,\n")
         with pytest.raises(DataError, match="empty action"):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     @pytest.mark.parametrize("cell", ["99999999999999999999", "-99999999999999999999"])
     @pytest.mark.parametrize("column", ["s", "a"])
@@ -442,7 +435,7 @@ class TestCsv:
         row = f"1,{cell},0" if column == "s" else f"1,0,{cell}"
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n{row}\n2,1,\n")
         with pytest.raises(DataError, match=rf":3: column {column} symbol {cell} "):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     @pytest.mark.parametrize(
         "cell, options, message",
@@ -458,7 +451,7 @@ class TestCsv:
         # the bad cell sits on line 5, after two blank lines
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n\n\n1,{cell},0\n2,1,\n")
         with pytest.raises(DataError, match=rf":5: {message}"):
-            read_symbol_series(path, **options)
+            read_transition_counts(path, **options)
 
     @pytest.mark.parametrize("column, row", [("s", "1,x,0.2"), ("a", "1,0.7,x")])
     def test_unparsable_real_names_its_line(self, tmp_path, column, row):
@@ -467,27 +460,27 @@ class TestCsv:
         binners = {"sensor_binner": Binner(0.0, 8.0, 30), "action_binner": Binner(-1.0, 1.0, 30)}
         message = rf"series.csv:4: column {column}: could not convert string to float: 'x'$"
         with pytest.raises(DataError, match=message):
-            read_symbol_series(path, **binners)
+            read_transition_counts(path, **binners)
 
     def test_oversized_cell_names_its_line(self, tmp_path):
         # csv.reader refuses a cell over its field size limit
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n1,{'1' * 200_000},0\n2,1,\n")
         with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     def test_oversized_cell_past_a_taken_block_names_its_line(self, tmp_path, monkeypatch):
         # the C reader takes line 2, so the row loop starts at line 3 with one line skipped
         monkeypatch.setattr(estimation, "BLOCK_ROWS", 1)
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n1,{'1' * 200_000},0\n2,1,\n")
         with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
-            read_symbol_series(path)
+            read_transition_counts(path)
 
     def test_line_numbers_count_the_lines_of_a_quoted_cell(self, tmp_path):
         # the quoted t cell spans lines 2 and 3, so the `x` sits on line 4
         path = self.write(tmp_path, 't,s,a\n"0\n",1,1\n1,x,0\n2,1,\n')
         message = f"{path}:4: column s holds 'x'; real-valued columns need a binner"
         with pytest.raises(DataError) as exc_info:
-            read_symbol_series(path)
+            read_transition_counts(path)
         assert str(exc_info.value) == message
 
     @pytest.mark.parametrize("block_rows", [2, estimation.BLOCK_ROWS])
@@ -499,7 +492,7 @@ class TestCsv:
         monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
         path = self.write(tmp_path, 't,s,a\n0,1,1\n1,1,1\n"2\n",1,1\n3,x,0\n4,1,\n')
         with pytest.raises(DataError) as exc_info:
-            read_symbol_series(path)
+            read_transition_counts(path)
         message = f"{path}:6: column s holds 'x'; real-valued columns need a binner"
         assert str(exc_info.value) == message
 
@@ -508,7 +501,7 @@ class TestCsv:
         path = tmp_path / "series.csv"
         path.write_bytes(b"t,s,a\n0,1,1\n1,2\n2,1,0\n3,\xff1,0\n4,1,\n")
         with pytest.raises(DataError) as exc_info:
-            read_symbol_series(path)
+            read_transition_counts(path)
         assert str(exc_info.value) == f"{path}:3: expected 3 columns, got 2"
 
     # the C reader reads neither the `t` column nor a header past `a`, so it declines a bad byte there
@@ -531,7 +524,7 @@ class TestCsv:
         path.write_bytes(header + f"{newline}{body}".encode() + row + b"\n1,2,\n")
         message = f"{path}:{line}: not valid UTF-8"
         with pytest.raises(DataError) as exc_info:
-            read_symbol_series(path)
+            read_transition_counts(path)
         assert str(exc_info.value) == message
         assert main(["measure", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -542,10 +535,7 @@ class TestCsv:
         path = tmp_path / "series.csv"
         path.write_bytes(f"\ufefft,s,a\n{t},1,1\n1,2,\n".encode())
         assert (fast_columns(path, {}) is None) == (t != "0")
-        series, sensor_alphabet, action_alphabet = read_symbol_series(path)
-        np.testing.assert_array_equal(series.sensors, [1, 2])
-        np.testing.assert_array_equal(series.actions, [1])
-        assert (sensor_alphabet.size, action_alphabet.size) == (3, 2)
+        assert_counts(read_transition_counts(path), [1, 2], [1], 3, 2)
         assert main(["measure", "--input", str(path), "--sensor-size", "3"]) == 0
         assert main(["measure", "--input", str(path)]) == 0
         assert "error" not in capsys.readouterr().err
@@ -568,9 +558,9 @@ def decline(*args):
 
 
 def read_by_row_loop(path, **options):
-    """`read_symbol_series` with the numpy fast path left out."""
+    """`read_transition_counts` with the numpy fast path left out."""
     with mock.patch.object(estimation, "_value_blocks", decline):
-        return read_symbol_series(path, **options)
+        return read_transition_counts(path, **options)
 
 
 def row_loop_columns(path, specs):
@@ -580,19 +570,40 @@ def row_loop_columns(path, specs):
     return values, estimation._symbols(values, specs)
 
 
+def whole_counts(path, options):
+    """The reference count table: the row loop's whole columns counted at once.
+
+    An inferred alphabet is sized by its column's largest symbol + 1, the
+    final action included, or 1 with no symbol.
+    """
+    specs = column_specs(options)
+    _, columns = row_loop_columns(path, specs)
+    n_s, n_a = (
+        binner.bins if binner is not None else size if size is not None
+        else int(symbols.max()) + 1 if len(symbols) else 1
+        for symbols, (binner, size) in zip(columns, specs)
+    )
+    sensors, actions = columns
+    return count_transitions(sensors, actions[: len(sensors) - 1], n_s, n_a)
+
+
 def outcome(read, path, options):
-    """What a reader makes of a file: the series and alphabet sizes, or the DataError text."""
+    """What a reader makes of a file: its int64 count table as nested lists, or the DataError text."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            series, sensor_alphabet, action_alphabet = read(path, **options)
+            counts = read(path, **options)
         except DataError as exc:
             return str(exc)
-    return (
-        series.sensors.tolist(),
-        series.actions.tolist(),
-        sensor_alphabet.size,
-        action_alphabet.size,
+    assert counts.dtype == np.int64
+    return counts.tolist()
+
+
+def assert_counts(counts, sensors, actions, n_s, n_a):
+    """The table is the int64 count of the series `sensors`, `actions` in the given alphabets."""
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(
+        counts, count_transitions(np.array(sensors), np.array(actions, dtype=np.int64), n_s, n_a)
     )
 
 
@@ -627,7 +638,7 @@ class TestFastPath:
     def read(self, path, **options):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return read_symbol_series(path, **options)
+            return read_transition_counts(path, **options)
 
     def test_rotator_run_series(self, tmp_path, capsys):
         out = tmp_path / "episode"
@@ -635,45 +646,37 @@ class TestFastPath:
         path = out / "series.csv"
         # csv.writer ends its rows with \r\n, and the final action is blank
         assert path.read_bytes().endswith(b",\r\n")
-        series, sensor_alphabet, action_alphabet = self.read(
-            path, sensor_binner=SENSOR_BINNER, action_binner=ACTION_BINNER
-        )
-        assert len(series) == 300
-        assert (sensor_alphabet.size, action_alphabet.size) == (30, 30)
+        options = {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER}
+        counts = self.read(path, **options)
+        assert counts.shape == (30, 30, 30)
+        assert counts.sum() == 300
         with path.open(newline="") as handle:
             rows = list(csv.reader(handle))[1:]
-        np.testing.assert_array_equal(
-            series.sensors, SENSOR_BINNER.index([float(row[1]) for row in rows])
-        )
-        np.testing.assert_array_equal(
-            series.actions, ACTION_BINNER.index([float(row[2]) for row in rows[:-1]])
-        )
+        sensors = SENSOR_BINNER.index([float(row[1]) for row in rows])
+        actions = ACTION_BINNER.index([float(row[2]) for row in rows[:-1]])
+        assert_same_bits(fast_columns(path, options), (sensors, actions))
+        assert_counts(counts, sensors, actions, 30, 30)
 
     def test_integer_symbols(self, tmp_path):
         path = tmp_path / "ints.csv"
         path.write_text("t,s,a\n0,0,1\n1, +2 ,0\n\n2,4,3\n3,1,7\n")
-        series, sensor_alphabet, action_alphabet = self.read(path)
-        np.testing.assert_array_equal(series.sensors, [0, 2, 4, 1])
-        np.testing.assert_array_equal(series.actions, [1, 0, 3])
-        # the dropped trailing action still sizes the inferred alphabet
-        assert (sensor_alphabet.size, action_alphabet.size) == (5, 8)
+        # the trailing action is not counted, but it still sizes the inferred alphabet
+        assert_counts(self.read(path), [0, 2, 4, 1], [1, 0, 3], 5, 8)
 
     def test_mixed_integer_and_real_columns(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("t,s,a\n0,3,-0.95\n1,0,0.5\n2,7,\n")
-        series, sensor_alphabet, action_alphabet = self.read(
-            path, sensor_size=8, action_binner=ACTION_BINNER
-        )
-        np.testing.assert_array_equal(series.sensors, [3, 0, 7])
-        np.testing.assert_array_equal(series.actions, [0, 22])
-        assert (sensor_alphabet.size, action_alphabet.size) == (8, 30)
+        counts = self.read(path, sensor_size=8, action_binner=ACTION_BINNER)
+        assert_counts(counts, [3, 0, 7], [0, 22], 8, 30)
 
     def test_one_data_row(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("t,s,a\n0,2.5,")
-        series, _, _ = self.read(path, sensor_binner=SENSOR_BINNER, action_size=3)
-        np.testing.assert_array_equal(series.sensors, [9])
-        assert len(series) == 0
+        options = {"sensor_binner": SENSOR_BINNER, "action_size": 3}
+        assert_counts(self.read(path, **options), [9], [], 30, 3)
+        sensors, actions = fast_columns(path, options)
+        np.testing.assert_array_equal(sensors, [9])
+        assert len(actions) == 0
 
     @pytest.mark.parametrize("block_rows", [1, 2, estimation.BLOCK_ROWS])
     def test_blank_rows_filling_a_block(self, tmp_path, monkeypatch, block_rows):
@@ -681,9 +684,7 @@ class TestFastPath:
         monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
         path = tmp_path / "blank-block.csv"
         path.write_text("t,s,a\n" + "0,1,1\n" * block_rows + "\n" * block_rows + "1,2,\n")
-        series, _, _ = self.read(path)
-        np.testing.assert_array_equal(series.sensors, [1] * block_rows + [2])
-        np.testing.assert_array_equal(series.actions, [1] * block_rows)
+        assert_counts(self.read(path), [1] * block_rows + [2], [1] * block_rows, 3, 2)
 
 
 def write_symbols(path, sensors, actions):
@@ -742,12 +743,10 @@ class TestTransitionCounts:
         monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
         path = tmp_path / "series.csv"
         path.write_text("t,s,a\n0,0,1\n1,1,0\n2,0,1\n3,1_0,0\n4,2,\n")
-        series, _, _ = read_symbol_series(path)
-        np.testing.assert_array_equal(series.sensors, [0, 1, 0, 10, 2])
-        counts = read_transition_counts(path, sensor_size=11, action_size=2)
-        whole = count_transitions(series.sensors, series.actions, 11, 2)
-        np.testing.assert_array_equal(counts, whole)
-        assert counts.sum() == 4
+        for options in ({}, {"sensor_size": 11, "action_size": 2}):
+            counts = read_transition_counts(path, **options)
+            assert_counts(counts, [0, 1, 0, 10, 2], [1, 0, 1, 0], 11, 2)
+            assert counts.sum() == 4
 
 
     def test_the_row_loop_reads_only_the_declined_block(self, tmp_path, monkeypatch):
@@ -782,6 +781,97 @@ class TestTransitionCounts:
         whole = count_transitions(np.array(sensors), np.array(actions), 3, 2)
         np.testing.assert_array_equal(counts, whole)
         assert counts.sum() == 8
+
+
+@st.composite
+def growing_files(draw):
+    """An integer t,s,a file whose symbols may climb from block to block.
+
+    Returns the text, the reader options, which size at most one column,
+    the sensor and the action column (with the final action, if it is not
+    blank) and the `BLOCK_ROWS` to read the file with.
+    """
+    rows = draw(st.integers(1, 24))
+    climbs = draw(st.tuples(st.sampled_from([0, 1, 3]), st.sampled_from([0, 1, 2])))
+    sensors = [draw(st.integers(0, 3)) + climbs[0] * t for t in range(rows)]
+    actions = [draw(st.integers(0, 2)) + climbs[1] * t for t in range(rows - 1)]
+    final = draw(st.sampled_from(["blank", "largest", "drawn"]))
+    if final == "largest":
+        # not counted, but it sizes an inferred action alphabet
+        actions.append(max(actions, default=0) + draw(st.integers(1, 4)))
+    elif final == "drawn":
+        actions.append(draw(st.integers(0, 2)))
+    cells = [*map(str, actions), *[""] * (rows - len(actions))]
+    lines = [f"{t},{s},{a}" for t, (s, a) in enumerate(zip(sensors, cells))]
+    if draw(st.booleans()):
+        # the C reader declines the quoted cell's block, and the row loop reads on from there
+        row = draw(st.integers(0, rows - 1))
+        lines[row] = f'"{row}"' + lines[row][len(str(row)) :]
+    options = {}
+    sized = draw(st.sampled_from([None, "sensor", "action"]))
+    if sized is not None:
+        column = sensors if sized == "sensor" else actions
+        options[f"{sized}_size"] = max(column, default=0) + 1 + draw(st.integers(0, 2))
+    return "t,s,a\n" + "\n".join(lines) + "\n", options, sensors, actions, draw(st.integers(1, 7))
+
+
+class TestGrowingCounts:
+    """An inferred alphabet's table grows block by block to the whole file counted at max + 1."""
+
+    @given(drawn=growing_files())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_and_report_equal_the_whole_file_counted(self, drawn):
+        text, options, sensors, actions, block_rows = drawn
+        n_s = options.get("sensor_size", max(sensors) + 1)
+        n_a = options.get("action_size", max(actions, default=0) + 1)
+        steps = len(sensors) - 1
+        whole = count_transitions(np.array(sensors), np.array(actions[:steps], dtype=np.int64), n_s, n_a)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_text(text)
+            with mock.patch.object(estimation, "BLOCK_ROWS", block_rows):
+                counts = read_transition_counts(path, **options)
+                argv = ["measure", "--input", str(path), "--format", "json", *cli_flags(options)]
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+        assert counts.shape == whole.shape
+        assert counts.tobytes() == whole.tobytes()
+        try:
+            (values,) = checked_rows(intrinsic_values(*estimate_arrays(whole), INTRINSIC_MEASURES))
+        except prob.ComputeError as exc:
+            # a one-symbol alphabet, as a one-row file's blank action gives
+            event("measures undefined")
+            assert (code, stderr.getvalue()) == (3, f"error: {exc}\n")
+            return
+        metadata = {"input": str(path), "transitions": steps, "sensor_alphabet": n_s, "action_alphabet": n_a}
+        report = json.dumps({"values": values, "metadata": metadata}, indent=2, sort_keys=True)
+        assert (code, stdout.getvalue()) == (0, report + "\n")
+
+    # a symbol too large for memory exits at its block, before a fault in a later block is read;
+    # after a first block of one small row, it exits as the table would grow
+    @pytest.mark.parametrize(
+        "block_rows, lead, error",
+        [
+            (1, "", "a 100000000001 x 1 x 100000000001 model (|S|: inferred from column s; "
+             "|A|: inferred from column a) needs 80000000001600000000008 bytes of float64, "),
+            (1, "0,0,1\n", "a 100000000001 x 2 x 100000000001 model (|S|: inferred from column s; "
+             "|A|: inferred from column a) needs 160000000003200000000016 bytes of float64, "),
+            # the fault shares the symbol's block, which is parsed before it is counted
+            (estimation.BLOCK_ROWS, "", "{path}:3: column s holds 'x'; real-valued columns need a binner"),
+        ],
+        ids=["first-block", "growing", "same-block"],
+    )
+    def test_a_symbol_too_large_for_memory_exits_at_its_block(
+        self, tmp_path, monkeypatch, capsys, block_rows, lead, error
+    ):
+        monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,s,a\n{lead}0,100000000000,0\n1,x,1\n2,1,\n")
+        assert main(["measure", "--input", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: " + error.format(path=path))
+        assert line.endswith(" bytes of physical memory" if block_rows == 1 else "binner")
 
 
 def write_real_series(path, rows, quoted=None):
@@ -823,25 +913,6 @@ def traced_peak(read, *args, **kwargs):
 class TestReaderMemory:
     ROWS = 200_000
     BINNERS = {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER}
-
-    def test_peak_stays_near_the_int64_series(self, tmp_path):
-        path = tmp_path / "series.csv"
-        write_real_series(path, self.ROWS)
-        (series, _, _), peak = traced_peak(read_symbol_series, path, **self.BINNERS)
-        assert len(series) == self.ROWS - 1
-        # the series holds 16 bytes a row; holding every parsed float beside
-        # it would take 32, and parsing the whole body at once took 48
-        assert peak / self.ROWS < 32
-
-    # a quote declines the file at its first or its last block
-    @pytest.mark.parametrize("quoted", ["first", "last"])
-    def test_declined_file_peak_stays_near_the_int64_series(self, tmp_path, quoted):
-        path = tmp_path / "series.csv"
-        write_real_series(path, self.ROWS, quoted)
-        (series, _, _), peak = traced_peak(read_symbol_series, path, **self.BINNERS)
-        assert len(series) == self.ROWS - 1
-        # the row loop read the whole file as Python strings at about 250 bytes a row
-        assert peak / self.ROWS < 32
 
     @pytest.mark.parametrize("quoted", ["first", "last"])
     def test_counting_a_declined_file_holds_one_block(self, tmp_path, quoted):
@@ -908,7 +979,7 @@ class TestFallback:
         path = tmp_path / "series.csv"
         path.write_text(text)
         assert fast_columns(path, options) is None
-        assert outcome(read_symbol_series, path, options) == outcome(
+        assert outcome(read_transition_counts, path, options) == outcome(
             read_by_row_loop, path, options
         )
 
@@ -917,9 +988,10 @@ class TestFallback:
         text, options = FALLBACKS["quoted-cell-with-comma"]
         path = tmp_path / "series.csv"
         path.write_text(text)
-        series, _, _ = read_symbol_series(path, **options)
-        np.testing.assert_array_equal(series.sensors, SENSOR_BINNER.index([9.0, 2.0]))
-        np.testing.assert_array_equal(series.actions, ACTION_BINNER.index([0.5]))
+        _, (sensors, actions) = row_loop_columns(path, column_specs(options))
+        np.testing.assert_array_equal(sensors, SENSOR_BINNER.index([9.0, 2.0]))
+        np.testing.assert_array_equal(actions, ACTION_BINNER.index([0.5]))
+        assert_counts(read_transition_counts(path, **options), sensors, actions, 30, 30)
 
     @pytest.mark.parametrize(
         "text",
@@ -944,7 +1016,7 @@ class TestFallback:
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode())
         assert fast_columns(path, {}) is not None
-        assert outcome(read_symbol_series, path, {}) == outcome(read_by_row_loop, path, {})
+        assert outcome(read_transition_counts, path, {}) == outcome(read_by_row_loop, path, {})
 
 
 class TestOneRead:
@@ -953,7 +1025,7 @@ class TestOneRead:
     @pytest.mark.parametrize(
         "text, options, opens, code",
         [
-            # with an inferred alphabet `measure` reads the series, with both sizes given it counts it
+            # with an inferred alphabet or both sizes given, `measure` counts as it reads
             ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {}, 1, 0),
             ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor_size": 3, "action_size": 2}, 1, 0),
             (*FALLBACKS["quoted-cell-with-comma"], 2, 0),
@@ -1097,7 +1169,7 @@ class TestFastMatchesRowLoop:
             expected = outcome(read_by_row_loop, path, options)
             event("row loop raised" if isinstance(expected, str) else "row loop read it")
             event("fast path declined" if columns is None else "fast path read it")
-            assert outcome(read_symbol_series, path, options) == expected
+            assert outcome(read_transition_counts, path, options) == expected
             self.check_counts(path, options, expected)
             if columns is not None:
                 specs = column_specs(options)
@@ -1115,26 +1187,17 @@ class TestFastMatchesRowLoop:
 
     @staticmethod
     def check_counts(path, options, expected):
-        """`measure`'s block-wise counts are the row loop's series counted whole, or its error."""
-        columns = ("sensor", "action")
+        """The block-wise counts are the row loop's columns counted whole, sizes inferred or given."""
         if isinstance(expected, str):
-            # the counting reader takes a file only with both alphabet sizes known
-            if all({f"{name}_binner", f"{name}_size"} & options.keys() for name in columns):
-                with pytest.raises(DataError) as exc_info:
-                    read_transition_counts(path, **options)
-                assert str(exc_info.value) == expected
             return
-        sensors, actions, n_s, n_a = expected
-        # each integer column's alphabet gets the size the row loop gave it
+        whole = whole_counts(path, options)
+        assert expected == whole.tolist()
+        # each integer column's alphabet given the size inferred for it
         sized = dict(options)
-        for name, size in zip(columns, (n_s, n_a)):
+        for name, size in zip(("sensor", "action"), whole.shape):
             if f"{name}_binner" not in options:
                 sized[f"{name}_size"] = size
-        whole = count_transitions(np.array(sensors), np.array(actions, dtype=np.int64), n_s, n_a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            counts = read_transition_counts(path, **sized)
-        assert counts.tobytes() == whole.tobytes()
+        assert outcome(read_transition_counts, path, sized) == expected
 
 
 @st.composite
@@ -1257,13 +1320,7 @@ class TestFaultOrder:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "series.csv"
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
-            readers = [read_symbol_series]
-            # the counting reader takes a file only with both alphabet sizes known
-            columns = ("sensor", "action")
-            if all({f"{name}_binner", f"{name}_size"} & options.keys() for name in columns):
-                readers.append(read_transition_counts)
-            for read in readers:
-                with mock.patch.object(estimation, "BLOCK_ROWS", block_rows):
-                    with pytest.raises(DataError) as exc_info:
-                        read(path, **options)
-                assert str(exc_info.value) == f"{path}:{line}: {detail}"
+            with mock.patch.object(estimation, "BLOCK_ROWS", block_rows):
+                with pytest.raises(DataError) as exc_info:
+                    read_transition_counts(path, **options)
+            assert str(exc_info.value) == f"{path}:{line}: {detail}"

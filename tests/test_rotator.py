@@ -521,6 +521,10 @@ class TestConfigValidation:
             {"f_max": float("inf")},
             {"control_dt": float("nan")},
             {"friction": float("-inf")},
+            {"mass": 0.0},
+            {"mass": -1.0},
+            {"length": 0.0},
+            {"length": -1.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

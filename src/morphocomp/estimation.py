@@ -61,11 +61,7 @@ class SymbolSeries:
     def __post_init__(self):
         sensors = _symbol_column(self.sensors, "sensors")
         actions = _symbol_column(self.actions, "actions")
-        if len(sensors) != len(actions) + 1:
-            raise DataError(
-                f"{len(sensors)} sensor symbols with {len(actions)} actions; "
-                "expected one extra sensor observation"
-            )
+        _check_lengths(sensors, actions)
         if (sensors < 0).any() or (len(actions) and (actions < 0).any()):
             raise DataError("symbol indices must be non-negative")
         sensors.setflags(write=False)
@@ -75,6 +71,14 @@ class SymbolSeries:
 
     def __len__(self) -> int:
         return len(self.actions)
+
+
+def _check_lengths(sensors, actions):
+    """Raise DataError unless there is exactly one more sensor symbol than actions."""
+    if len(sensors) != len(actions) + 1:
+        raise DataError(
+            f"{len(sensors)} sensor symbols with {len(actions)} actions; expected one extra sensor observation"
+        )
 
 
 def _symbol_column(values, column: str) -> np.ndarray:
@@ -140,8 +144,9 @@ def count_transitions(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: i
     """The (S, A, S) int64 table of how often each transition (s, a, s') occurs in one recording.
 
     Takes integer symbols; actions[t] leads from sensors[t] to sensors[t+1].
-    A symbol outside range(n_s) or range(n_a) raises DataError.
+    A symbol outside range(n_s) or range(n_a), or mismatched lengths, raise DataError.
     """
+    _check_lengths(sensors, actions)
     for symbols, size, what in ((sensors, n_s, "sensor"), (actions, n_a, "action")):
         for symbol in (symbols.min(), symbols.max()) if len(symbols) else ():
             if not 0 <= symbol < size:

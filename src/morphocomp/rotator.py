@@ -134,33 +134,33 @@ def load_config(path) -> RotatorConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _rk4(cfg: RotatorConfig, dt: float, lanes: tuple[int, ...]):
-    """An RK4 stepper for a batch of lanes: the state y = (theta, theta_dot), at rest, and `advance`.
+def _rk4(cfg: RotatorConfig, lanes: int):
+    """An RK4 stepper for `lanes` lanes: the state y = (theta, theta_dot), at rest, and `advance`.
 
-    `advance(f)` moves y, shape (2, *lanes), on by dt under constant force f,
-    in place.  RK4 on theta' = theta_dot: each stage's velocity is both the
-    angle's slope and the velocity at which that stage's acceleration is
-    taken, so a stage's (velocity, acceleration) rows are its slope k of y.  A
-    stage's acceleration is ((f - fl*v) - mg*sin(angle)) / ml, the next stage
-    is y + c*k, and a substep ends at y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4),
-    each rounded in that order.  The buffers, their views and the constants
-    are made once per stepper; every substep's 37 ufunc calls write into
-    them, each ufunc a local name and its out passed by position, as a
-    module lookup or a keyword costs more per call.
+    `advance(f)` moves y, shape (2, lanes), on by one control period under
+    constant force f, in place.  RK4 on theta' = theta_dot: each stage's
+    velocity is both the angle's slope and the velocity at which that stage's
+    acceleration is taken, so a stage's (velocity, acceleration) rows are its
+    slope k of y.  A stage's acceleration is ((f - fl*v) - mg*sin(angle)) / ml,
+    the next stage is y + c*k, and a substep ends at
+    y + (h/6) * (((k1 + 2*k2) + 2*k3) + k4), each rounded in that order.  The
+    buffers, their views and the constants are made once per stepper; every
+    substep's 37 ufunc calls write into them, each ufunc a local name and its
+    out passed by position, as a module lookup or a keyword costs more per call.
     """
-    h = dt / RK4_SUBSTEPS
+    h = cfg.control_dt / RK4_SUBSTEPS
     fl, mg, ml = cfg.friction * cfg.length, cfg.mass * cfg.gravity, cfg.mass * cfg.length
     # 0-d arrays, as a ufunc converts a Python float operand on every call
     fl, mg, ml, half, whole, two, sixth = map(np.array, (fl, mg, ml, 0.5 * h, h, 2.0, h / 6.0))
-    stages = np.zeros((4, 3, *lanes))  # per stage: angle, velocity, acceleration
+    stages = np.zeros((4, 3, lanes))  # per stage: angle, velocity, acceleration
     y, slopes = stages[0, :2], stages[:, 1:]
     k1, k2, k3, k4 = slopes
-    rows = [[stages[n, i, ...] for i in range(3)] for n in range(4)]  # `...`: 0-d views with no lanes
+    rows = [list(stage) for stage in stages]
     moves = [(c, slopes[n], stages[n + 1, :2]) for n, c in enumerate((half, half, whole))]
     plan = list(zip_longest(rows, moves))
     # the acceleration passes between buffers: numpy is slow to write one element over its input
     drag, net, sine = (np.empty(lanes) for _ in range(3))
-    step, total = np.empty((2, 2, *lanes))
+    step, total = np.empty((2, 2, lanes))
     multiply, subtract, add, divide, sin = np.multiply, np.subtract, np.add, np.divide, np.sin
 
     def advance(f):
@@ -187,14 +187,6 @@ def _rk4(cfg: RotatorConfig, dt: float, lanes: tuple[int, ...]):
     return y, advance
 
 
-def _integrate(theta, theta_dot, f, cfg: RotatorConfig, dt: float):
-    """Advance (theta, theta_dot) by dt under constant force f.  Array-safe: one step of a fresh `_rk4`."""
-    y, advance = _rk4(cfg, dt, np.broadcast(theta, theta_dot, f).shape)
-    y[0], y[1] = theta, theta_dot
-    advance(f)
-    return y[0], y[1]
-
-
 def control_force(sensor, cfg: RotatorConfig, beta):
     """Controller response to a sensor reading, with deadband `beta`.
 
@@ -206,7 +198,8 @@ def control_force(sensor, cfg: RotatorConfig, beta):
     """
     error = cfg.theta_dot_target - np.asarray(sensor, dtype=np.float64)
     sign = np.where(np.asarray(sensor) >= 0, 1.0, -1.0)
-    g = error - sign * beta + sign * cfg.f_min
+    with np.errstate(over="ignore"):  # a response beyond the float range clips to +-1
+        g = error - sign * beta + sign * cfg.f_min
     g_clamped = np.clip(g, -1.0, 1.0)
     f = np.where(np.abs(error) >= beta, g_clamped * cfg.f_max, 0.0)
     return g_clamped, f
@@ -223,7 +216,7 @@ def _lockstep(cfg: RotatorConfig, eta, beta, run, seed_seqs):
     for i, seq in enumerate(seed_seqs):
         noise[i] = np.random.default_rng(seq).uniform(-eta[i], eta[i], size=cfg.steps + 1)
     noise *= cfg.theta_dot_target
-    y, advance = _rk4(cfg, cfg.control_dt, (len(seed_seqs),))
+    y, advance = _rk4(cfg, len(seed_seqs))
     for t in range(cfg.steps):
         theta_dot = y[1].copy()  # the stepper moves y in place
         s = theta_dot + noise[:, t]

@@ -735,6 +735,18 @@ class TestTransitionCounts:
         with pytest.raises(DataError, match=f"^{message}$"):
             count_transitions(np.array(sensors), np.array(actions), 3, 2)
 
+    # unchecked, the empty series raised IndexError, extra actions were dropped
+    # and too few raised numpy's broadcast error
+    @pytest.mark.parametrize(
+        "sensors, actions",
+        [([], []), ([0, 1], [0, 1, 1]), ([0, 1, 1], [0])],
+        ids=["empty", "extra-actions", "too-few-actions"],
+    )
+    def test_lengths_that_do_not_pair_are_rejected(self, sensors, actions):
+        message = f"^{len(sensors)} sensor symbols with {len(actions)} actions; expected one extra sensor observation$"
+        with pytest.raises(DataError, match=message):
+            count_transitions(np.array(sensors, dtype=np.int64), np.array(actions, dtype=np.int64), 3, 2)
+
     @pytest.mark.parametrize("block_rows", [1, 2])
     def test_a_file_declined_past_its_first_block_is_counted_once(
         self, tmp_path, monkeypatch, block_rows

@@ -25,8 +25,8 @@ from morphocomp.rotator import (
     control_force,
     run_episode,
     sweep,
-    _integrate,
     _lockstep,
+    _rk4,
     _simulate_batch,
     action_alphabet,
     sensor_alphabet,
@@ -57,9 +57,9 @@ def fine_step_reference(theta, theta_dot, f, cfg, duration, h=1e-6):
     return theta, theta_dot
 
 
-def integrate_reference(theta, theta_dot, f, cfg, dt):
-    """The RK4 step written out with a fresh array per operation: the oracle of `_integrate`'s bits."""
-    h = dt / rotator.RK4_SUBSTEPS
+def integrate_reference(theta, theta_dot, f, cfg):
+    """One control period of RK4 written out with a fresh array per operation: the oracle of `_rk4`'s bits."""
+    h = cfg.control_dt / rotator.RK4_SUBSTEPS
     fl, mg, ml = cfg.friction * cfg.length, cfg.mass * cfg.gravity, cfg.mass * cfg.length
     for _ in range(rotator.RK4_SUBSTEPS):
         k1v = (f - fl * theta_dot - mg * np.sin(theta)) / ml
@@ -74,11 +74,18 @@ def integrate_reference(theta, theta_dot, f, cfg, dt):
     return theta, theta_dot
 
 
+def started_stepper(cfg, theta, theta_dot, lanes=1):
+    """`_rk4(cfg, lanes)` started at (theta, theta_dot), each a float or a lane array."""
+    y, advance = _rk4(cfg, lanes)
+    y[0], y[1] = theta, theta_dot
+    return y, advance
+
+
 def free_swing_energy_drift(seconds):
     """Relative energy change of the unforced pendulum after `seconds`.
 
-    Starts at the target velocity and steps one length-1 lane through
-    `_integrate` in 0.01 s control periods, as the simulator does.
+    Starts at the target velocity and steps one lane with `_rk4`'s stepper
+    in 0.01 s control periods, as the simulator does.
     """
     m, l, g = CFG.mass, CFG.length, CFG.gravity
 
@@ -86,33 +93,35 @@ def free_swing_energy_drift(seconds):
         # kinetic plus potential
         return 0.5 * m * l**2 * theta_dot**2 - m * g * l * np.cos(theta)
 
-    theta, theta_dot = np.zeros(1), np.full(1, 2 * math.pi)
-    start = energy(theta, theta_dot)
+    y, advance = started_stepper(CFG, 0.0, 2 * math.pi)
+    start = energy(*y)
     for _ in range(100 * seconds):
-        theta, theta_dot = _integrate(theta, theta_dot, 0.0, CFG, 0.01)
-    return float(abs(energy(theta, theta_dot) - start)[0] / abs(start[0]))
+        advance(0.0)
+    return float(abs(energy(*y) - start)[0] / abs(start[0]))
 
 
 class TestDynamics:
     def test_equilibrium_is_stationary(self):
         theta = 0.4
-        f = CFG.mass * CFG.gravity * math.sin(theta)
-        moved_theta, moved_theta_dot = _integrate(theta, 0.0, f, CFG, 0.01)
-        assert moved_theta == pytest.approx(theta, abs=1e-12)
-        assert moved_theta_dot == pytest.approx(0.0, abs=1e-12)
+        y, advance = started_stepper(CFG, theta, 0.0)
+        advance(CFG.mass * CFG.gravity * math.sin(theta))
+        assert y[0, 0] == pytest.approx(theta, abs=1e-12)
+        assert y[1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_fine_step_reference(self):
-        stepped = _integrate(0.0, 2 * math.pi, 0.0, CFG, 0.01)
+        y, advance = started_stepper(CFG, 0.0, 2 * math.pi)
+        advance(0.0)
         ref_theta, ref_theta_dot = fine_step_reference(0.0, 2 * math.pi, 0.0, CFG, 0.01)
-        assert stepped[0] == pytest.approx(ref_theta, abs=1e-8)
-        assert stepped[1] == pytest.approx(ref_theta_dot, abs=1e-8)
+        assert y[0, 0] == pytest.approx(ref_theta, abs=1e-8)
+        assert y[1, 0] == pytest.approx(ref_theta_dot, abs=1e-8)
 
     def test_matches_reference_with_force_and_friction(self):
         cfg = RotatorConfig(friction=0.3)
-        stepped = _integrate(np.array([1.0]), np.array([3.0]), 4.0, cfg, 0.01)
+        y, advance = started_stepper(cfg, 1.0, 3.0)
+        advance(4.0)
         ref = fine_step_reference(1.0, 3.0, 4.0, cfg, 0.01)
-        assert stepped[0][0] == pytest.approx(ref[0], abs=1e-8)
-        assert stepped[1][0] == pytest.approx(ref[1], abs=1e-8)
+        assert y[0, 0] == pytest.approx(ref[0], abs=1e-8)
+        assert y[1, 0] == pytest.approx(ref[1], abs=1e-8)
 
     @pytest.mark.parametrize(
         "cfg, dt, expected",
@@ -158,59 +167,39 @@ class TestDynamics:
             ),
         }
         for name, (theta, theta_dot, f) in inputs.items():
-            stepped = _integrate(theta, theta_dot, f, cfg, dt)
-            bits = tuple([float(x).hex() for x in np.atleast_1d(v)] for v in stepped)
+            y, advance = started_stepper(replace(cfg, control_dt=dt), theta, theta_dot, np.size(theta))
+            advance(f)
+            bits = tuple([float(x).hex() for x in row] for row in y)
             assert bits == expected[name], name
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.data(),
         st.integers(1, 300),
-        st.one_of(st.sampled_from([0.01, 0.05]), st.floats(1e-4, 0.1)),
+        st.integers(1, 8),
         st.builds(
             RotatorConfig,
             friction=st.floats(0.0, 5.0),
             mass=st.floats(0.1, 10.0),
             length=st.floats(0.1, 10.0),
             gravity=st.floats(0.0, 20.0),
+            control_dt=st.one_of(st.sampled_from([0.01, 0.05]), st.floats(1e-4, 0.1)),
         ),
     )
-    def test_integrate_matches_reference_bits(self, data, lanes, dt, cfg):
-        # each input a float or a lane array, so scalar, mixed and all-lane calls are drawn
+    def test_stepper_matches_chained_reference_bits(self, data, lanes, k, cfg):
+        # one stepper advanced k times: a buffer carried stale from one step to the next shows here.
+        # Each input is a float or a lane array, so broadcast, mixed and all-lane calls are drawn
         value = st.floats(-50.0, 50.0)
         either = st.one_of(value, arrays(np.float64, lanes, elements=value))
-        theta, theta_dot, f = (data.draw(either) for _ in range(3))
-        stepped = _integrate(theta, theta_dot, f, cfg, dt)
-        expected = integrate_reference(theta, theta_dot, f, cfg, dt)
-        for got, want in zip(stepped, expected):
-            assert type(got) is type(want) and np.shape(got) == np.shape(want)
-            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.data(),
-        st.integers(1, 300),
-        st.integers(1, 8),
-        st.sampled_from([0.01, 0.05]),
-        st.builds(
-            RotatorConfig,
-            friction=st.floats(0.01, 5.0),
-            mass=st.floats(0.1, 10.0),
-            length=st.floats(0.1, 10.0),
-            gravity=st.floats(0.0, 20.0),
-        ),
-    )
-    def test_stepper_matches_chained_reference_bits(self, data, lanes, k, dt, cfg):
-        # one stepper advanced k times: a buffer carried stale from one step to the next shows here
-        lane_values = arrays(np.float64, lanes, elements=st.floats(-50.0, 50.0))
-        theta, theta_dot = data.draw(lane_values), data.draw(lane_values)
-        y, advance = rotator._rk4(cfg, dt, (lanes,))
-        y[0], y[1] = theta, theta_dot
+        theta, theta_dot = data.draw(either), data.draw(either)
+        y, advance = started_stepper(cfg, theta, theta_dot, lanes)
+        expected = np.empty_like(y)
         for _ in range(k):
-            f = data.draw(lane_values)
+            f = data.draw(either)
             advance(f)
-            theta, theta_dot = integrate_reference(theta, theta_dot, f, cfg, dt)
-            assert np.array_equal(y.view(np.int64), np.stack([theta, theta_dot]).view(np.int64))
+            theta, theta_dot = integrate_reference(theta, theta_dot, f, cfg)
+            expected[0], expected[1] = theta, theta_dot
+            assert np.array_equal(y.view(np.int64), expected.view(np.int64))
 
     def test_energy_conserved_without_force(self):
         seconds = 50
@@ -268,6 +257,18 @@ class TestController:
         g_neg, _ = control_force(-1e-12, cfg, cfg.beta)
         assert g_zero == pytest.approx(1.5 - 1.0 + 0.25, abs=1e-9)
         assert g_neg == pytest.approx(1.0, abs=1e-9)  # sign flip saturates the clamp
+
+    @pytest.mark.parametrize(
+        "cfg, sign",
+        [
+            (RotatorConfig(theta_dot_target=1e308, f_min=1e308), 1.0),
+            (RotatorConfig(theta_dot_target=-1e308, beta=1e308), -1.0),
+        ],
+    )
+    def test_response_beyond_the_float_range_clips_to_its_limit(self, cfg, sign):
+        # the response overflows to +-inf, whose exact clip is +-1; an overflow warning is an error here
+        g_clamped, f = control_force(0.0, cfg, cfg.beta)
+        assert (g_clamped, f) == (sign, sign * cfg.f_max)
 
     def test_controller_draws_noise(self):
         cfg = RotatorConfig(eta=0.25, steps=50)

@@ -81,6 +81,35 @@ def started_stepper(cfg, theta, theta_dot, lanes=1):
     return y, advance
 
 
+reference_configs = st.builds(
+    RotatorConfig,
+    friction=st.floats(0.0, 5.0),
+    mass=st.floats(0.1, 10.0),
+    length=st.floats(0.1, 10.0),
+    gravity=st.floats(0.0, 20.0),
+    control_dt=st.one_of(st.sampled_from([0.01, 0.05]), st.floats(1e-4, 0.1)),
+)
+
+
+def check_stepper_against_reference(data, lanes, k, cfg):
+    """Advance one `_rk4` stepper k times and require `integrate_reference`'s bits after each call.
+
+    Each force, angle and velocity is a float or a lane array, so broadcast,
+    mixed and all-lane calls are drawn.
+    """
+    value = st.floats(-50.0, 50.0)
+    either = st.one_of(value, arrays(np.float64, lanes, elements=value))
+    theta, theta_dot = data.draw(either), data.draw(either)
+    y, advance = started_stepper(cfg, theta, theta_dot, lanes)
+    expected = np.empty_like(y)
+    for _ in range(k):
+        f = data.draw(either)
+        advance(f)
+        theta, theta_dot = integrate_reference(theta, theta_dot, f, cfg)
+        expected[0], expected[1] = theta, theta_dot
+        assert np.array_equal(y.view(np.int64), expected.view(np.int64))
+
+
 def free_swing_energy_drift(seconds):
     """Relative energy change of the unforced pendulum after `seconds`.
 
@@ -172,34 +201,17 @@ class TestDynamics:
             bits = tuple([float(x).hex() for x in row] for row in y)
             assert bits == expected[name], name
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 300), reference_configs)
+    def test_integrate_matches_reference_bits(self, data, lanes, cfg):
+        # one control period, as the simulator steps each lane batch
+        check_stepper_against_reference(data, lanes, 1, cfg)
+
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.data(),
-        st.integers(1, 300),
-        st.integers(1, 8),
-        st.builds(
-            RotatorConfig,
-            friction=st.floats(0.0, 5.0),
-            mass=st.floats(0.1, 10.0),
-            length=st.floats(0.1, 10.0),
-            gravity=st.floats(0.0, 20.0),
-            control_dt=st.one_of(st.sampled_from([0.01, 0.05]), st.floats(1e-4, 0.1)),
-        ),
-    )
+    @given(st.data(), st.integers(1, 300), st.integers(1, 8), reference_configs)
     def test_stepper_matches_chained_reference_bits(self, data, lanes, k, cfg):
-        # one stepper advanced k times: a buffer carried stale from one step to the next shows here.
-        # Each input is a float or a lane array, so broadcast, mixed and all-lane calls are drawn
-        value = st.floats(-50.0, 50.0)
-        either = st.one_of(value, arrays(np.float64, lanes, elements=value))
-        theta, theta_dot = data.draw(either), data.draw(either)
-        y, advance = started_stepper(cfg, theta, theta_dot, lanes)
-        expected = np.empty_like(y)
-        for _ in range(k):
-            f = data.draw(either)
-            advance(f)
-            theta, theta_dot = integrate_reference(theta, theta_dot, f, cfg)
-            expected[0], expected[1] = theta, theta_dot
-            assert np.array_equal(y.view(np.int64), expected.view(np.int64))
+        # one stepper advanced k times: a buffer carried stale from one step to the next shows here
+        check_stepper_against_reference(data, lanes, k, cfg)
 
     def test_energy_conserved_without_force(self):
         seconds = 50

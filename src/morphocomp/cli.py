@@ -113,8 +113,8 @@ def _ensure_out(args) -> Path:
 
 
 def cmd_measure(args) -> int:
-    for column in ("sensor", "action"):
-        bins, size = getattr(args, f"{column}_bins"), getattr(args, f"{column}_size")
+    columns = [(args.sensor_bins, args.sensor_size), (args.action_bins, args.action_size)]
+    for column, (bins, size) in zip(("sensor", "action"), columns):
         if size is not None and size < 1:
             raise UsageError(f"--{column}-size must be at least 1, got {size}")
         if bins is not None and size is not None:
@@ -122,8 +122,7 @@ def cmd_measure(args) -> int:
                 f"--{column}-bins and --{column}-size conflict: a binned column's "
                 "alphabet size is its bin count"
             )
-    sensor_binner = _parse_binner(args.sensor_bins) if args.sensor_bins is not None else None
-    action_binner = _parse_binner(args.action_bins) if args.action_bins is not None else None
+    specs = [size if bins is None else _parse_binner(bins) for bins, size in columns]
     names = tuple(args.measures.split(",")) if args.measures is not None else INTRINSIC_MEASURES
     for name in names:
         if name not in INTRINSIC_MEASURES:
@@ -148,9 +147,7 @@ def cmd_measure(args) -> int:
             )
 
     # the check runs before each allocation of the table, which an inferred size grows
-    counts = read_transition_counts(
-        args.input, sensor_binner, action_binner, args.sensor_size, args.action_size, check=check
-    )
+    counts = read_transition_counts(args.input, *specs, check=check)
     (n_s, n_a, _), transitions = counts.shape, int(counts.sum())
     tables = estimate_arrays(counts)
     # the counts go before the measures' working tables are formed

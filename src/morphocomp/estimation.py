@@ -238,40 +238,33 @@ def joint_from_model(model: IntrinsicModel) -> Joint3:
     return compose_joint(model.sensor_prior, model.policy, model.world_model)
 
 
-def read_transition_counts(
-    path,
-    sensor_binner: Binner | None = None,
-    action_binner: Binner | None = None,
-    sensor_size: int | None = None,
-    action_size: int | None = None,
-    *,
-    check=None,
-) -> np.ndarray:
+def read_transition_counts(path, sensor=None, action=None, *, check=None) -> np.ndarray:
     """The :func:`count_transitions` table of a `t,s,a` CSV, counted block by block as it is parsed.
 
-    Columns `s`/`a` hold integer symbols, their alphabet size given or
-    inferred as max+1, or reals, which need the column's binner.  The last
-    row may leave `a` blank; a trailing action that is not blank has no
-    successor and is not counted, but sizes an inferred alphabet.  The
-    reader holds the table and one block of `BLOCK_ROWS` lines, however
-    long the file.  `check(n_s, n_a)` runs before each allocation of the
-    table: with both sizes known, before the file is read.
+    The `sensor` and `action` specs describe columns `s` and `a`: a `Binner`
+    bins real values into its `bins` symbols, an int is the alphabet size of
+    integer symbols, and None infers that size as max+1.  The last row may
+    leave `a` blank; a trailing action that is not blank has no successor
+    and is not counted, but sizes an inferred alphabet.  The reader holds
+    the table and one block of `BLOCK_ROWS` lines, however long the file.
+    `check(n_s, n_a)` runs before each allocation of the table: with both
+    sizes known, before the file is read.
     """
-    specs = ((sensor_binner, sensor_size), (action_binner, action_size))
-    n_s, n_a = (size if binner is None else binner.bins for binner, size in specs)
+    specs = (sensor, action)
+    n_s, n_a = (spec.bins if isinstance(spec, Binner) else spec for spec in specs)
     return _count_blocks(_symbol_blocks(Path(path), specs), n_s, n_a, check)
 
 
 def _symbols(block, specs):
     """The symbols of a block's checked values: bin indices, or the integers as read."""
-    return tuple(v if binner is None else binner.index(v) for v, (binner, _) in zip(block, specs))
+    return tuple(spec.index(v) if isinstance(spec, Binner) else v for v, spec in zip(block, specs))
 
 
-def _rejected(values, binner, size):
+def _rejected(values, spec):
     """Which values of one column are faults: non-finite reals, symbols outside the alphabet."""
-    if binner is not None:
+    if isinstance(spec, Binner):
         return ~np.isfinite(values)
-    return (values < 0) | (values >= size if size is not None else False)
+    return (values < 0) | (values >= spec if spec is not None else False)
 
 
 def _symbol_blocks(path, specs):
@@ -287,7 +280,7 @@ def _symbol_blocks(path, specs):
     start = 2
     with contextlib.suppress(ValueError):
         for *block, end in _value_blocks(path, specs):
-            if any(_rejected(values, *spec).any() for values, spec in zip(block, specs)):
+            if any(_rejected(values, spec).any() for values, spec in zip(block, specs)):
                 break
             yield _symbols(block, specs)
             start = end
@@ -308,7 +301,7 @@ def _value_blocks(path, specs):
     a bad byte in `t`), a header other than `t,s,a`, no data line, a blank,
     whitespace-only or short last line, or a cell loadtxt cannot parse.
     """
-    kinds = [np.int64 if binner is None else np.float64 for binner, _ in specs]
+    kinds = [np.float64 if isinstance(spec, Binner) else np.int64 for spec in specs]
     # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
     with path.open(encoding="utf-8-sig", errors="surrogateescape") as handle:
         header, pending = handle.readline(), handle.readline()
@@ -420,7 +413,7 @@ def _row_values(path, linenos, columns, specs):
     """Checked values of a block's cells, cells[i] on file line linenos[i]; faults in file order."""
     # on one line, an empty action comes first, then the sensor cell, then the action cell
     faults = [(columns[1].index(""), "empty action before the final row")] if "" in columns[1] else []
-    parsed = [_parse_column(cells, *spec, name) for cells, spec, name in zip(columns, specs, "sa")]
+    parsed = [_parse_column(cells, spec, name) for cells, spec, name in zip(columns, specs, "sa")]
     faults += [fault for _, fault in parsed if fault]
     if faults:
         index, message = min(faults, key=operator.itemgetter(0))
@@ -428,9 +421,10 @@ def _row_values(path, linenos, columns, specs):
     return tuple(values for values, _ in parsed)
 
 
-def _parse_column(cells, binner, size, name):
+def _parse_column(cells, spec, name):
     """The values of one column's cells, and the index and message of its first fault, or None."""
-    kind, dtype = (int, np.int64) if binner is None else (float, np.float64)
+    binned = isinstance(spec, Binner)
+    kind, dtype = (float, np.float64) if binned else (int, np.int64)
     remaining, fault = iter(cells), None
     try:
         values = np.fromiter(map(kind, remaining), dtype, len(cells))
@@ -438,20 +432,20 @@ def _parse_column(cells, binner, size, name):
         # the failing cell is the last one taken from `remaining`
         index = len(cells) - 1 - sum(1 for _ in remaining)
         values, cell = np.fromiter(map(kind, cells[:index]), dtype, index), cells[index]
-        if binner is not None:
+        if binned:
             fault = index, f"column {name}: {exc}"
         elif isinstance(exc, OverflowError):
             fault = index, f"column {name} symbol {cell} does not fit in 64 bits"
         else:
             fault = index, f"column {name} holds {cell!r}; real-valued columns need a binner"
-    bad = _rejected(values, binner, size)
+    bad = _rejected(values, spec)
     if bad.any():
         # the cells before a failing one are earlier
         index = int(np.argmax(bad))
-        if binner is not None:
+        if binned:
             fault = index, f"non-finite value in column {name}"
         elif values[index] < 0:
             fault = index, f"negative symbol in column {name}"
         else:
-            fault = index, f"column {name} symbol {values[index]} does not fit alphabet of size {size}"
+            fault = index, f"column {name} symbol {values[index]} does not fit alphabet of size {spec}"
     return values, fault

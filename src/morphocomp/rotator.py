@@ -214,7 +214,8 @@ def _lockstep(cfg: RotatorConfig, eta, beta, run, seed_seqs):
     """
     noise = np.empty((len(seed_seqs), cfg.steps + 1))
     for i, seq in enumerate(seed_seqs):
-        noise[i] = np.random.default_rng(seq).uniform(-eta[i], eta[i], size=cfg.steps + 1)
+        # + 0.0 makes the high of an eta of -0.0 0.0, not below its low; other etas keep their bits
+        noise[i] = np.random.default_rng(seq).uniform(-eta[i], eta[i] + 0.0, size=cfg.steps + 1)
     noise *= cfg.theta_dot_target
     y, advance = _rk4(cfg, len(seed_seqs))
     for t in range(cfg.steps):

@@ -330,6 +330,29 @@ class TestRotatorCommands:
             for name in ("asoc_a", "c_a", "asoc_w", "c_w"):
                 assert 0.0 <= float(row[name]) <= 1.0
 
+    def test_run_with_negative_zero_eta_runs_as_zero(self, tmp_path, capsys):
+        args = ["rotator", "run", "--beta", "0.5", "--steps", "200"]
+        negative, zero = tmp_path / "negative", tmp_path / "zero"
+        assert run_cli(*args, "--eta=-0.0", "--out", str(negative)) == 0
+        measured = capsys.readouterr()
+        assert run_cli(*args, "--eta", "0", "--out", str(zero)) == 0
+        assert measured == capsys.readouterr()
+        for name in ("transients.csv", "series.csv"):
+            assert (negative / name).read_bytes() == (zero / name).read_bytes()
+
+    def test_sweep_with_negative_zero_eta_runs_as_zero(self, tmp_path):
+        args = ["rotator", "sweep", "--beta", "0", "0.5", "--runs", "2", "--steps", "200"]
+        negative, zero = tmp_path / "negative", tmp_path / "zero"
+        assert run_cli(*args, "--eta", "-0.0", "0.2", "--out", str(negative)) == 0
+        assert run_cli(*args, "--eta", "0", "0.2", "--out", str(zero)) == 0
+        tables = [
+            list(csv.DictReader((out / "rotator_sweep.csv").read_text().splitlines()))
+            for out in (negative, zero)
+        ]
+        etas = [[row.pop("eta") for row in rows] for rows in tables]
+        assert etas == [["-0.0", "-0.0", "0.2", "0.2"], ["0.0", "0.0", "0.2", "0.2"]]
+        assert tables[0] == tables[1]
+
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):
         config = tmp_path / "rotator.cfg"
         config.write_text("version = 1\neta = 0.2\nbeta = 1.5\nsteps = 300\nseed = 8\n")

@@ -3,12 +3,14 @@
 Whatever is drawn, a command exits 0, 2 or 3; a failing one ends stderr
 with one `error:` line after only soft-range `warning:` lines and leaves no
 table behind; no warning or other exception escapes; and a successful one
-writes measures in [0, 1] with c_w <= asoc_w.
+writes measures in [0, 1] with c_w <= asoc_w.  A flag value that argparse
+cannot convert exits 2 with argparse's usage and `prog: error:` line.
 """
 
 import contextlib
 import csv
 import io
+import re
 import tempfile
 import warnings
 from dataclasses import fields
@@ -17,7 +19,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphocomp.cli import main
+from morphocomp import rotator
+from morphocomp.cli import BINARY_SWEEP_COLUMNS, build_parser, main
+from morphocomp.estimation import DataError
 from morphocomp.measures import INTRINSIC_MEASURES
 from morphocomp.rotator import RotatorConfig
 
@@ -28,6 +32,11 @@ COMMANDS = {
     "run": ["rotator", "run", "--steps", "8"],
     "sweep": ["rotator", "sweep", "--eta", "0", "0.3", "--beta", "0", "--runs", "1", "--steps", "8"],
 }
+# the table a successful sweep writes, and its measure columns
+TABLES = {
+    "sweep": ("rotator_sweep.csv", INTRINSIC_MEASURES),
+    "binary-sweep": ("binary_sweep.csv", BINARY_SWEEP_COLUMNS[3:]),
+}
 
 
 def run_in_process(argv):
@@ -35,7 +44,10 @@ def run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value before any command runs
+            code = exc.code
     return code, out.getvalue().splitlines(), err.getvalue().splitlines()
 
 
@@ -48,10 +60,11 @@ def check_run(command, code, stdout, stderr, out: Path):
     else:
         warned = stderr
     assert all(line.startswith("warning: ") for line in warned), (command, stderr)
-    if code == 0 and command == "sweep":
-        with (out / "rotator_sweep.csv").open(newline="") as handle:
+    if code == 0 and command in TABLES:
+        table, measures = TABLES[command]
+        with (out / table).open(newline="") as handle:
             for row in csv.DictReader(handle):
-                assert all(0.0 <= float(row[name]) <= 1.0 for name in INTRINSIC_MEASURES), row
+                assert all(0.0 <= float(row[name]) <= 1.0 for name in measures), row
                 assert float(row["c_w"]) <= float(row["asoc_w"]) + 1e-12, row
     else:  # `rotator run` prints one `name value` line per measure
         printed = [line.split() for line in stdout]
@@ -63,6 +76,8 @@ def check_run(command, code, stdout, stderr, out: Path):
 # a response beyond the float range: it once overflowed with a numpy warning
 @example({"theta_dot_target": "1e308", "f_min": "1e308"})
 @example({"theta_dot_target": "-1e308", "control_dt": "1e-320", "beta": "1e308"})
+# an eta of -0.0 passed the config check, then numpy refused its noise span with exit 2
+@example({"eta": "-0"})
 def test_rotator_config_files_end_to_end(entries):
     text = "version = 1\n" + "".join(f"{key} = {value}\n" for key, value in entries.items())
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,3 +87,77 @@ def test_rotator_config_files_end_to_end(entries):
             out = Path(tmp) / command
             code, stdout, stderr = run_in_process([*argv, "--config", str(config), "--out", str(out)])
             check_run(command, code, stdout, stderr, out)
+            if command == "run" and loads(config):
+                # `--steps 8` overrides no value the loader checked, so no usage error is left
+                assert code in (0, 3), (entries, stderr)
+
+
+def loads(config) -> bool:
+    """Whether `rotator.load_config` accepts the file."""
+    try:
+        rotator.load_config(config)
+    except DataError:
+        return False
+    return True
+
+
+# --runs and --steps: small counts stand in for "800", which would run 800 episodes or steps a draw
+COUNTS = tuple(edge for edge in EDGES if edge != "800") + ("1", "3")
+# argparse reads a separate "-1e308" or "-inf" as a flag, and `--flag=value` holds one value
+SEPARATE = tuple(edge for edge in EDGES if edge not in ("-1e308", "-inf"))
+
+
+@st.composite
+def sweep_argv(draw):
+    """The command and argv of a `binary-sweep` or `rotator sweep`, its flags drawn from the edges.
+
+    A grid of one value is passed as `--flag=value`, since argparse takes a
+    separate `-1e308` for a flag; one of two values as separate arguments,
+    drawn from `SEPARATE`.  The rotator's --steps is always drawn, as its
+    default runs 5,000 steps.
+    """
+    if draw(st.booleans()):
+        command, argv, grids = "binary-sweep", ["binary-sweep"], ("--phi", "--psi", "--mu")
+        flags = {"--zeta": EDGES, "--tau": EDGES}
+    else:
+        command, argv, grids = "sweep", ["rotator", "sweep"], ("--eta", "--beta")
+        flags = {"--runs": COUNTS, "--seed": EDGES}
+        argv.append(f"--steps={draw(st.sampled_from(COUNTS))}")
+    for flag in grids:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(EDGES))}")
+        else:
+            argv += [flag, *draw(st.lists(st.sampled_from(SEPARATE), min_size=2, max_size=2))]
+    for flag, edges in flags.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(edges))}")
+    return command, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_argv())
+# an eta of -0.0 passed the grid check, then numpy refused its noise span with exit 2
+@example(("sweep", ["rotator", "sweep", "--steps=8", "--eta", "-0", "0.3", "--beta=0", "--runs=1"]))
+def test_sweep_flags_end_to_end(drawn):
+    command, argv = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code, stdout, stderr = run_in_process([*argv, "--out", str(out)])
+        if stderr and re.match(r"morphocomp[a-z -]*: error: ", stderr[-1]):
+            assert code == 2 and stderr[0].startswith("usage: "), (argv, stderr)
+            assert not out.exists(), argv
+        else:
+            check_run(command, code, stdout, stderr, out)
+            if command == "sweep" and sweep_accepts(argv):
+                assert code in (0, 3), (argv, stderr)
+
+
+def sweep_accepts(argv) -> bool:
+    """Whether `rotator.sweep`'s up-front checks take the grids, runs and config of a parsed argv."""
+    args = build_parser().parse_args([*argv, "--out", "unused"])
+    flags = {name: getattr(args, name) for name in ("steps", "seed") if getattr(args, name) is not None}
+    try:
+        rotator.sweep(args.eta_grid, args.beta_grid, args.runs, RotatorConfig(**flags))
+    except ValueError:
+        return False
+    return True

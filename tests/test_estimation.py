@@ -384,12 +384,12 @@ class TestCsv:
 
     def test_integer_round_trip(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,1\n1,2,0\n2,1,\n")
-        counts = read_transition_counts(path, sensor_size=3, action_size=2)
+        counts = read_transition_counts(path, sensor=3, action=2)
         assert_counts(counts, [0, 2, 1], [1, 0], 3, 2)
 
     def test_trailing_action_dropped_without_final_row(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,1\n1,2,0\n2,1,1\n")
-        counts = read_transition_counts(path, sensor_size=3, action_size=2)
+        counts = read_transition_counts(path, sensor=3, action=2)
         assert_counts(counts, [0, 2, 1], [1, 0], 3, 2)
 
     def test_alphabets_inferred(self, tmp_path):
@@ -398,7 +398,7 @@ class TestCsv:
 
     def test_real_columns_binned(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0.1,-0.9\n1,7.9,0.9\n2,4.0,\n")
-        options = {"sensor_binner": Binner(0.0, 8.0, 30), "action_binner": Binner(-1.0, 1.0, 30)}
+        options = {"sensor": Binner(0.0, 8.0, 30), "action": Binner(-1.0, 1.0, 30)}
         _, (sensors, actions) = row_loop_columns(path, column_specs(options))
         np.testing.assert_array_equal(sensors, [0, 29, 15])
         np.testing.assert_array_equal(actions, [1, 28])
@@ -407,7 +407,7 @@ class TestCsv:
     def test_symbol_exceeding_declared_alphabet(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0,0\n1,31,1\n2,1,\n")
         with pytest.raises(DataError, match="31"):
-            read_transition_counts(path, sensor_size=30, action_size=2)
+            read_transition_counts(path, sensor=30, action=2)
 
     def test_real_value_without_binner(self, tmp_path):
         path = self.write(tmp_path, "t,s,a\n0,0.5,0\n1,1,\n")
@@ -441,9 +441,9 @@ class TestCsv:
         "cell, options, message",
         [
             ("x", {}, "column s holds 'x'"),
-            ("nan", {"sensor_binner": Binner(0.0, 8.0, 30)}, "non-finite value in column s"),
+            ("nan", {"sensor": Binner(0.0, 8.0, 30)}, "non-finite value in column s"),
             ("-1", {}, "negative symbol in column s"),
-            ("7", {"sensor_size": 3}, "column s symbol 7 does not fit"),
+            ("7", {"sensor": 3}, "column s symbol 7 does not fit"),
         ],
         ids=["unparsable", "non-finite", "negative", "out-of-alphabet"],
     )
@@ -457,7 +457,7 @@ class TestCsv:
     def test_unparsable_real_names_its_line(self, tmp_path, column, row):
         # the `x` sits on line 4, after one blank line
         path = self.write(tmp_path, f"t,s,a\n0,0.5,0.1\n\n{row}\n2,1.5,\n")
-        binners = {"sensor_binner": Binner(0.0, 8.0, 30), "action_binner": Binner(-1.0, 1.0, 30)}
+        binners = {"sensor": Binner(0.0, 8.0, 30), "action": Binner(-1.0, 1.0, 30)}
         message = rf"series.csv:4: column {column}: could not convert string to float: 'x'$"
         with pytest.raises(DataError, match=message):
             read_transition_counts(path, **binners)
@@ -546,10 +546,8 @@ ACTION_BINNER = Binner(-1.0, 1.0, 30)
 
 
 def column_specs(options):
-    """The (binner, size) of the sensor and action columns in reader options."""
-    return tuple(
-        (options.get(f"{name}_binner"), options.get(f"{name}_size")) for name in ("sensor", "action")
-    )
+    """The specs of the sensor and action columns in reader options."""
+    return options.get("sensor"), options.get("action")
 
 
 def decline(*args):
@@ -579,9 +577,9 @@ def whole_counts(path, options):
     specs = column_specs(options)
     _, columns = row_loop_columns(path, specs)
     n_s, n_a = (
-        binner.bins if binner is not None else size if size is not None
+        spec.bins if isinstance(spec, Binner) else spec if spec is not None
         else int(symbols.max()) + 1 if len(symbols) else 1
-        for symbols, (binner, size) in zip(columns, specs)
+        for symbols, spec in zip(columns, specs)
     )
     sensors, actions = columns
     return count_transitions(sensors, actions[: len(sensors) - 1], n_s, n_a)
@@ -646,7 +644,7 @@ class TestFastPath:
         path = out / "series.csv"
         # csv.writer ends its rows with \r\n, and the final action is blank
         assert path.read_bytes().endswith(b",\r\n")
-        options = {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER}
+        options = {"sensor": SENSOR_BINNER, "action": ACTION_BINNER}
         counts = self.read(path, **options)
         assert counts.shape == (30, 30, 30)
         assert counts.sum() == 300
@@ -666,13 +664,13 @@ class TestFastPath:
     def test_mixed_integer_and_real_columns(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("t,s,a\n0,3,-0.95\n1,0,0.5\n2,7,\n")
-        counts = self.read(path, sensor_size=8, action_binner=ACTION_BINNER)
+        counts = self.read(path, sensor=8, action=ACTION_BINNER)
         assert_counts(counts, [3, 0, 7], [0, 22], 8, 30)
 
     def test_one_data_row(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("t,s,a\n0,2.5,")
-        options = {"sensor_binner": SENSOR_BINNER, "action_size": 3}
+        options = {"sensor": SENSOR_BINNER, "action": 3}
         assert_counts(self.read(path, **options), [9], [], 30, 3)
         sensors, actions = fast_columns(path, options)
         np.testing.assert_array_equal(sensors, [9])
@@ -717,7 +715,7 @@ class TestTransitionCounts:
             write_symbols(path, sensors, actions)
             for block_rows in (1, 2, 8_192):
                 with mock.patch.object(estimation, "BLOCK_ROWS", block_rows):
-                    counts = read_transition_counts(path, sensor_size=n_s, action_size=n_a)
+                    counts = read_transition_counts(path, sensor=n_s, action=n_a)
                 assert counts.dtype == np.int64
                 np.testing.assert_array_equal(counts, whole)
 
@@ -755,7 +753,7 @@ class TestTransitionCounts:
         monkeypatch.setattr(estimation, "BLOCK_ROWS", block_rows)
         path = tmp_path / "series.csv"
         path.write_text("t,s,a\n0,0,1\n1,1,0\n2,0,1\n3,1_0,0\n4,2,\n")
-        for options in ({}, {"sensor_size": 11, "action_size": 2}):
+        for options in ({}, {"sensor": 11, "action": 2}):
             counts = read_transition_counts(path, **options)
             assert_counts(counts, [0, 1, 0, 10, 2], [1, 0, 1, 0], 11, 2)
             assert counts.sum() == 4
@@ -788,7 +786,7 @@ class TestTransitionCounts:
                 return self.reader.line_num
 
         monkeypatch.setattr(csv, "reader", CountingReader)
-        counts = read_transition_counts(path, sensor_size=3, action_size=2)
+        counts = read_transition_counts(path, sensor=3, action=2)
         assert taken == [["t", "s", "a"], ["8", "0", ""]]
         whole = count_transitions(np.array(sensors), np.array(actions), 3, 2)
         np.testing.assert_array_equal(counts, whole)
@@ -823,7 +821,7 @@ def growing_files(draw):
     sized = draw(st.sampled_from([None, "sensor", "action"]))
     if sized is not None:
         column = sensors if sized == "sensor" else actions
-        options[f"{sized}_size"] = max(column, default=0) + 1 + draw(st.integers(0, 2))
+        options[sized] = max(column, default=0) + 1 + draw(st.integers(0, 2))
     return "t,s,a\n" + "\n".join(lines) + "\n", options, sensors, actions, draw(st.integers(1, 7))
 
 
@@ -834,8 +832,8 @@ class TestGrowingCounts:
     @settings(max_examples=300, deadline=None)
     def test_counts_and_report_equal_the_whole_file_counted(self, drawn):
         text, options, sensors, actions, block_rows = drawn
-        n_s = options.get("sensor_size", max(sensors) + 1)
-        n_a = options.get("action_size", max(actions, default=0) + 1)
+        n_s = options.get("sensor", max(sensors) + 1)
+        n_a = options.get("action", max(actions, default=0) + 1)
         steps = len(sensors) - 1
         whole = count_transitions(np.array(sensors), np.array(actions[:steps], dtype=np.int64), n_s, n_a)
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -924,7 +922,7 @@ def traced_peak(read, *args, **kwargs):
 
 class TestReaderMemory:
     ROWS = 200_000
-    BINNERS = {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER}
+    BINNERS = {"sensor": SENSOR_BINNER, "action": ACTION_BINNER}
 
     @pytest.mark.parametrize("quoted", ["first", "last"])
     def test_counting_a_declined_file_holds_one_block(self, tmp_path, quoted):
@@ -962,7 +960,7 @@ class TestReaderMemory:
 FALLBACKS = {
     "quoted-cell-with-comma": (
         't,s,a\n"0,1.5,2.5,",9,0.5\n1,2,\n',
-        {"sensor_binner": SENSOR_BINNER, "action_binner": ACTION_BINNER},
+        {"sensor": SENSOR_BINNER, "action": ACTION_BINNER},
     ),
     "whitespace-only-row": ("t,s,a\n0,1,1\n \t \n1,2,\n", {}),
     "blank-cells-row": ("t,s,a\n0,1,1\n , ,\n1,2,\n", {}),
@@ -974,10 +972,10 @@ FALLBACKS = {
     "float-in-integer-column": ("t,s,a\n0,3.0,1\n1,2,\n", {}),
     "integer-beyond-int64": ("t,s,a\n0,99999999999999999999,1\n1,2,\n", {}),
     "negative-symbol": ("t,s,a\n0,-1,1\n1,2,\n", {}),
-    "out-of-alphabet": ("t,s,a\n0,5,1\n1,2,\n", {"sensor_size": 3}),
-    "out-of-alphabet-final-action": ("t,s,a\n0,1,1\n1,2,3\n", {"action_size": 3}),
-    "non-finite-real": ("t,s,a\n0,1e400,0.5\n1,2,\n", {"sensor_binner": SENSOR_BINNER}),
-    "unparsable-real": ("t,s,a\n0,1,x\n1,2,\n", {"action_binner": ACTION_BINNER}),
+    "out-of-alphabet": ("t,s,a\n0,5,1\n1,2,\n", {"sensor": 3}),
+    "out-of-alphabet-final-action": ("t,s,a\n0,1,1\n1,2,3\n", {"action": 3}),
+    "non-finite-real": ("t,s,a\n0,1e400,0.5\n1,2,\n", {"sensor": SENSOR_BINNER}),
+    "unparsable-real": ("t,s,a\n0,1,x\n1,2,\n", {"action": ACTION_BINNER}),
     "interior-empty-action": ("t,s,a\n0,1,\n1,2,0\n2,0,\n", {}),
     "empty-file": ("", {}),
 }
@@ -1039,7 +1037,7 @@ class TestOneRead:
         [
             # with an inferred alphabet or both sizes given, `measure` counts as it reads
             ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {}, 1, 0),
-            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor_size": 3, "action_size": 2}, 1, 0),
+            ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor": 3, "action": 2}, 1, 0),
             (*FALLBACKS["quoted-cell-with-comma"], 2, 0),
             # a byte that is not UTF-8 is found as the row loop reads, not by reading the file again
             ("t,s,a\n0,1,1\n1,\udcff2,0\n2,0,\n", {}, 2, 2),
@@ -1134,20 +1132,20 @@ def csv_files(draw):
     options = {}
     for column, name, binner in ((0, "sensor", SENSOR_BINNER), (1, "action", ACTION_BINNER)):
         if real[column]:
-            options[f"{name}_binner"] = binner
+            options[name] = binner
         elif draw(st.booleans()):
-            options[f"{name}_size"] = draw(st.integers(1, 8))
+            options[name] = draw(st.integers(1, 8))
     return text, options
 
 
 def cli_flags(options):
     flags = []
     for name in ("sensor", "action"):
-        if f"{name}_binner" in options:
-            binner = options[f"{name}_binner"]
-            flags.append(f"--{name}-bins={binner.low}:{binner.high}:{binner.bins}")
-        if f"{name}_size" in options:
-            flags.append(f"--{name}-size={options[f'{name}_size']}")
+        spec = options.get(name)
+        if isinstance(spec, Binner):
+            flags.append(f"--{name}-bins={spec.low}:{spec.high}:{spec.bins}")
+        elif spec is not None:
+            flags.append(f"--{name}-size={spec}")
     return flags
 
 
@@ -1207,8 +1205,8 @@ class TestFastMatchesRowLoop:
         # each integer column's alphabet given the size inferred for it
         sized = dict(options)
         for name, size in zip(("sensor", "action"), whole.shape):
-            if f"{name}_binner" not in options:
-                sized[f"{name}_size"] = size
+            if not isinstance(options.get(name), Binner):
+                sized[name] = size
         assert outcome(read_transition_counts, path, sized) == expected
 
 
@@ -1303,9 +1301,9 @@ def faulty_files(draw, faults):
     options = {}
     for column, name, binner in ((0, "sensor", SENSOR_BINNER), (1, "action", ACTION_BINNER)):
         if real[column]:
-            options[f"{name}_binner"] = binner
+            options[name] = binner
         elif sizes[column] is not None:
-            options[f"{name}_size"] = sizes[column]
+            options[name] = sizes[column]
     return text, options, faults_at
 
 

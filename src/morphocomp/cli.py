@@ -51,6 +51,13 @@ class UsageError(ValueError):
     """Bad flag combination detected after argparse."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejection is one `error:` line, as every other failure's is."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _parse_binner(text: str) -> Binner:
     parts = text.split(":")
     if len(parts) != 3:
@@ -290,7 +297,8 @@ def cmd_rotator_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are built as the parser's own class
+    parser = _Parser(
         prog="morphocomp",
         description="Morphological-computation measures for discrete sensorimotor data",
     )

@@ -21,13 +21,12 @@ constructors check each table once.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -270,142 +269,133 @@ def _rejected(values, spec):
 def _symbol_blocks(path, specs):
     """Checked (sensors, actions) symbol blocks of a file, in file order.
 
-    A well-formed file is parsed by `np.loadtxt` in one pass, a block per
-    `BLOCK_ROWS` lines, each checked and binned on its own.  The C reader
-    declines a block if `_value_blocks` raises ValueError on it or a value
-    is `_rejected`; the row loop `_row_blocks` then reads on from that
-    block's first file line, so no line is parsed twice and the blocks
-    before it stand.  A DataError names the first file line at fault.
+    The file is opened once and csv reads its header.  Each block of
+    `BLOCK_ROWS` lines after it is parsed by `np.loadtxt` (`_value_block`),
+    or by csv (`_row_block`) if loadtxt declines it, and is checked and
+    binned on its own.  A DataError names the first file line at fault.
     """
-    start = 2
-    with contextlib.suppress(ValueError):
-        for *block, end in _value_blocks(path, specs):
-            if any(_rejected(values, spec).any() for values, spec in zip(block, specs)):
-                break
-            yield _symbols(block, specs)
-            start = end
-        else:
-            return
-    yield from (_symbols(block, specs) for block in _row_blocks(path, specs, start))
-
-
-def _value_blocks(path, specs):
-    """Sensor and action values of a file's data lines, `BLOCK_ROWS` lines per loadtxt call.
-
-    Each block comes with the file line after it.  The file is read once,
-    holding one block and the line after it; an empty read past a block
-    marks it the last, whose blank last action is parsed as 0 and dropped.
-    A block of blank lines alone, which loadtxt skips, yields nothing.
-    Raises ValueError, declining the block, on a quote (csv splits quoted
-    cells, loadtxt does not), a character beyond ASCII (loadtxt would pass
-    a bad byte in `t`), a header other than `t,s,a`, no data line, a blank,
-    whitespace-only or short last line, or a cell loadtxt cannot parse.
-    """
-    kinds = [np.float64 if isinstance(spec, Binner) else np.int64 for spec in specs]
     # universal newlines end lines where csv.reader does: \n, \r\n, lone \r
     with path.open(encoding="utf-8-sig", errors="surrogateescape") as handle:
-        header, pending = handle.readline(), handle.readline()
-        names = [cell.strip().lower() for cell in header.split(",")[:3]]
-        if '"' in header or not header.isascii() or names != ["t", "s", "a"] or not pending:
-            raise ValueError("no t,s,a header with a data line after it")
-        end = 2
+        reader = csv.reader(_utf8_lines(handle))
+        try:
+            header = next(reader, None)
+        except (csv.Error, _NotUtf8) as exc:
+            # csv has not counted the line with a bad byte
+            raise DataError(f"{path}:{reader.line_num + isinstance(exc, _NotUtf8)}: {exc}") from None
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip().lower() for h in header]
+        if header[:3] != ["t", "s", "a"]:
+            raise DataError(f"{path}: expected header t,s,a, got {','.join(header)}")
+        lineno, pending, rows = reader.line_num + 1, handle.readline(), False
         while pending:
             # rebinding first frees the previous block's lines, so one block is held at a time
             block = [pending]
             block += islice(handle, BLOCK_ROWS - 1)
             pending = handle.readline()
-            end += len(block)
-            if '"' in (text := "".join(block)) or not text.isascii():
-                raise ValueError("quoted cell or a character beyond ASCII")
-            final_blank = False
-            if not pending:
-                last = block[-1].split(",")
-                if len(last) < 3:
-                    raise ValueError("blank or short last line")
-                final_blank = not last[2].strip()
-                if final_blank:
-                    block[-1] = ",".join([*last[:2], "0", *last[3:]])
-            if block.count("\n") == len(block):
-                # loadtxt would warn that it found no data
-                continue
-            values = np.loadtxt(
-                block,
-                dtype=list(zip("sa", kinds)),
-                delimiter=",",
-                usecols=(1, 2),
-                comments=None,
-                ndmin=1,
-            )
-            yield values["s"], values["a"][:-1] if final_blank else values["a"], end
+            try:
+                values, used = _value_block(block, not pending, specs), len(block)
+            except ValueError:
+                # csv may read on past the block, through the lookahead line
+                lines = chain(block, [pending] if pending else [], handle)
+                values, used = _row_block(path, lines, lineno, specs)
+                if used > len(block):
+                    pending = handle.readline()
+            lineno += used
+            if len(values[0]):
+                rows = True
+                yield _symbols(values, specs)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
 
 
-def _row_blocks(path, specs, start):
-    """Checked sensor and action values of the data rows from file line `start` on, parsed by csv.
+def _value_block(block, last, specs):
+    """Sensor and action values of a block of data lines, parsed by `np.loadtxt`.
 
-    Yields blocks of up to `BLOCK_ROWS` rows, as `_value_blocks` does.  The
-    header is always checked; the lines before `start` past it hold data
-    rows the C reader took and no quote, so each is skipped as one line.  A
-    block is parsed once a later data row arrives or the file ends, so a
-    blank action is a fault only before the last data row.  A byte that is
-    not UTF-8 is a fault on its own line, in file order (`_utf8_lines`).
+    A blank last action of the `last` block is parsed as 0 and dropped.
+    Raises ValueError, declining the block, on a quote (csv splits quoted
+    cells, loadtxt does not), a character beyond ASCII (loadtxt would pass
+    a bad byte in `t`), a blank, whitespace-only or short last line, a cell
+    loadtxt cannot parse, or a `_rejected` value.
     """
-    linenos, sensors, actions = [], [], []
-    fault, skipped = None, 0
-    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        lines = _utf8_lines(handle)
-        reader = csv.reader(lines)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            header = [h.strip().lower() for h in header]
-            if header[:3] != ["t", "s", "a"]:
-                raise DataError(f"{path}: expected header t,s,a, got {','.join(header)}")
-            skipped = start - 2
-            next(islice(lines, skipped, skipped), None)
-            for row in reader:
-                if not any(map(str.strip, row)):
-                    continue
+    if '"' in (text := "".join(block)) or not text.isascii():
+        raise ValueError("quoted cell or a character beyond ASCII")
+    if block.count("\n") == len(block):
+        return (), ()  # blank lines alone, on which loadtxt would warn that it found no data
+    final_blank = False
+    if last:
+        cells = block[-1].split(",")
+        if len(cells) < 3:
+            raise ValueError("blank or short last line")
+        final_blank = not cells[2].strip()
+        if final_blank:
+            # a new list, as csv reads the block's own lines if loadtxt declines it
+            block = [*block[:-1], ",".join([*cells[:2], "0", *cells[3:]])]
+    kinds = [np.float64 if isinstance(spec, Binner) else np.int64 for spec in specs]
+    values = np.loadtxt(
+        block,
+        dtype=list(zip("sa", kinds)),
+        delimiter=",",
+        usecols=(1, 2),
+        comments=None,
+        ndmin=1,
+    )
+    values = values["s"], values["a"][:-1] if final_blank else values["a"]
+    if any(_rejected(column, spec).any() for column, spec in zip(values, specs)):
+        raise ValueError("a non-finite value or a symbol outside its alphabet")
+    return values
+
+
+def _row_block(path, lines, lineno, specs):
+    """Checked sensor and action values of a block's data rows, parsed by csv, and the lines read.
+
+    `lines` are the block's lines, from file line `lineno` on, then the
+    rest of the file.  csv reads `BLOCK_ROWS` of them, and reads on only
+    while a quoted cell is open, or while the last data row leaves `a`
+    blank, to the next data row or EOF: a blank action is a fault only
+    before the last data row.  A byte that is not UTF-8 is a fault on its
+    own line, in file order (`_utf8_lines`).
+    """
+    linenos, sensors, actions, fault = [], [], [], None
+    reader = csv.reader(_utf8_lines(lines))
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):
                 # csv counts the lines it read, so a quoted cell may span lines
-                lineno = reader.line_num + skipped
+                line = lineno - 1 + reader.line_num
                 if len(row) < 3:
-                    fault = f"{lineno}: expected 3 columns, got {len(row)}"
+                    fault = f"{line}: expected 3 columns, got {len(row)}"
                     break
-                if len(linenos) == BLOCK_ROWS:
-                    yield _row_values(path, linenos, (sensors, actions), specs)
-                    linenos, sensors, actions = [], [], []
-                linenos.append(lineno)
+                linenos.append(line)
                 sensors.append(row[1].strip())
                 actions.append(row[2].strip())
-        except csv.Error as exc:
-            fault = f"{reader.line_num + skipped}: {exc}"
-        except _NotUtf8:
-            fault = f"{reader.line_num + skipped + 1}: not valid UTF-8"
+            if reader.line_num >= BLOCK_ROWS and (not actions or actions[-1]):
+                break
+        else:
+            if actions and not actions[-1]:
+                actions.pop()
+    except (csv.Error, _NotUtf8) as exc:
+        fault = f"{lineno - 1 + reader.line_num + isinstance(exc, _NotUtf8)}: {exc}"
+    # a fault on an earlier row comes first
+    values = _row_values(path, linenos, (sensors, actions), specs)
     if fault is not None:
-        # a fault on an earlier row comes first
-        _row_values(path, linenos, (sensors, actions), specs)
         raise DataError(f"{path}:{fault}")
-    if linenos:
-        if not actions[-1]:
-            actions.pop()
-        yield _row_values(path, linenos, (sensors, actions), specs)
-    elif start == 2:
-        raise DataError(f"{path}: no data rows")
+    return values, reader.line_num
 
 
 class _NotUtf8(Exception):
     """Raised on taking a line that holds a byte that is not UTF-8, before csv.reader counts it."""
 
 
-def _utf8_lines(handle):
-    """The lines of a surrogateescape handle, up to one with a bad byte; ASCII lines pass unchecked."""
-    for is_ascii, lines in groupby(handle, str.isascii):
+def _utf8_lines(lines):
+    """Lines decoded with surrogateescape, up to one with a bad byte; ASCII lines pass unchecked."""
+    for is_ascii, lines in groupby(lines, str.isascii):
         if is_ascii:
             yield from lines
             continue
         for line in lines:
             if re.search("[\udc80-\udcff]", line):  # how surrogateescape reads a bad byte
-                raise _NotUtf8
+                raise _NotUtf8("not valid UTF-8")
             yield line
 
 

@@ -478,6 +478,23 @@ class TestBadInputExitsTwo:
         (line,) = capsys.readouterr().err.splitlines()  # no warning about a rejected value
         assert line.startswith("error: ")
 
+    # argparse printed its usage, then `morphocomp binary-sweep: error: ...`
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["binary-sweep", "--phi=x", "--out", "{out}"],
+             "error: morphocomp binary-sweep: argument --phi: invalid float value: 'x'"),
+            (["measure"], "error: morphocomp measure: the following arguments are required: --input"),
+        ],
+        ids=["binary-phi-not-a-float", "measure-without-input"],
+    )
+    def test_argparse_rejection_is_one_error_line(self, tmp_path, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*(a.format(out=tmp_path / "out") for a in argv))
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "sizes, message",
         [

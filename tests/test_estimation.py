@@ -469,7 +469,7 @@ class TestCsv:
             read_transition_counts(path)
 
     def test_oversized_cell_past_a_taken_block_names_its_line(self, tmp_path, monkeypatch):
-        # the C reader takes line 2, so the row loop starts at line 3 with one line skipped
+        # the C reader takes line 2, and csv reads the block of line 3
         monkeypatch.setattr(estimation, "BLOCK_ROWS", 1)
         path = self.write(tmp_path, f"t,s,a\n0,0,1\n1,{'1' * 200_000},0\n2,1,\n")
         with pytest.raises(DataError, match=r"series.csv:3: field larger than field limit"):
@@ -551,19 +551,25 @@ def column_specs(options):
 
 
 def decline(*args):
-    """A C reader that declines every file at its first data line."""
+    """A C reader that declines every block."""
     raise ValueError("declined")
+
+
+def values_of(values, specs):
+    """`_symbols` passing a block's values through."""
+    return values
 
 
 def read_by_row_loop(path, **options):
     """`read_transition_counts` with the numpy fast path left out."""
-    with mock.patch.object(estimation, "_value_blocks", decline):
+    with mock.patch.object(estimation, "_value_block", decline):
         return read_transition_counts(path, **options)
 
 
 def row_loop_columns(path, specs):
     """The value and the symbol columns the row loop takes from a whole file."""
-    blocks = list(estimation._row_blocks(Path(path), specs, 2))
+    with mock.patch.multiple(estimation, _value_block=decline, _symbols=values_of):
+        blocks = list(estimation._symbol_blocks(Path(path), specs))
     values = tuple(np.concatenate(column) for column in zip(*blocks))
     return values, estimation._symbols(values, specs)
 
@@ -609,16 +615,20 @@ class Declined(Exception):
     """The C reader handed a file to the row loop."""
 
 
-def fast_columns(path, options):
-    """The symbol columns the C reader takes from a file, or None if it hands the file on."""
+def fast_columns(path, options, symbols=estimation._symbols):
+    """The columns the C reader takes from a whole file, as `symbols` gives them.
+
+    None if it hands a block on, or if the file has no t,s,a header with a
+    data row after it, which csv reads before either parser runs.
+    """
 
     def row_loop(*args):
         raise Declined
 
-    with mock.patch.object(estimation, "_row_blocks", row_loop):
+    with mock.patch.multiple(estimation, _row_block=row_loop, _symbols=symbols):
         try:
             blocks = list(estimation._symbol_blocks(Path(path), column_specs(options)))
-        except Declined:
+        except (Declined, DataError):
             return None
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
@@ -631,7 +641,7 @@ class TestFastPath:
         def row_loop(*args):
             raise AssertionError("the row loop ran on a well-formed file")
 
-        monkeypatch.setattr(estimation, "_row_blocks", row_loop)
+        monkeypatch.setattr(estimation, "_row_block", row_loop)
 
     def read(self, path, **options):
         with warnings.catch_warnings():
@@ -1029,8 +1039,70 @@ class TestFallback:
         assert outcome(read_transition_counts, path, {}) == outcome(read_by_row_loop, path, {})
 
 
+class TestBlockFallback:
+    """csv parses the blocks loadtxt declines, and loadtxt every other block."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_two_lines(self, monkeypatch):
+        monkeypatch.setattr(estimation, "BLOCK_ROWS", 2)
+
+    def read(self, tmp_path, text, **options):
+        """The outcome of a file read in blocks of 2 lines, and the loadtxt and csv block calls."""
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        with (
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+            mock.patch.object(estimation, "_row_block", wraps=estimation._row_block) as row_block,
+        ):
+            counts = outcome(read_transition_counts, path, options)
+        return counts, loadtxt.call_count, row_block.call_count
+
+    def test_blocks_after_a_quoted_first_row_go_to_loadtxt(self, tmp_path):
+        # lines 2-3 go to csv for the quote, and loadtxt parses lines 4-5, 6-7 and 8-9
+        sensors, actions = [0, 1, 2, 2, 0, 1, 1, 2], [1, 0, 1, 1, 0, 0, 1]
+        rows = [f"{t},{s},{a}\n" for t, (s, a) in enumerate(zip(sensors, [*actions, ""]))]
+        rows[0] = '"0"' + rows[0][1:]
+        counts, loadtxt_calls, row_block_calls = self.read(tmp_path, "t,s,a\n" + "".join(rows))
+        whole = count_transitions(np.array(sensors), np.array(actions), 3, 2)
+        assert counts == whole.tolist()
+        assert (loadtxt_calls, row_block_calls) == (3, 1)
+
+    def test_a_quoted_cell_across_a_block_edge_is_one_row(self, tmp_path):
+        # the s cell opens on line 3, the last of the first block, and closes on line 4
+        text = 't,s,a\n0,1,1\n1,"2\n",0\n2,0,1\n3,1,\n'
+        counts, loadtxt_calls, row_block_calls = self.read(tmp_path, text)
+        assert counts == count_transitions(np.array([1, 2, 0, 1]), np.array([1, 0, 1]), 3, 2).tolist()
+        # csv read on through the lookahead line 4, and loadtxt takes lines 5-6
+        assert (loadtxt_calls, row_block_calls) == (1, 1)
+        counts, *_ = self.read(tmp_path, text.replace("3,1,", "3,x,"))
+        assert counts.endswith(":6: column s holds 'x'; real-valued columns need a binner")
+
+    @pytest.mark.parametrize(
+        "tail, expected",
+        [
+            ("\n\n\n", count_transitions(np.array([1, 2]), np.array([1]), 3, 2).tolist()),
+            ("\n\n2,0,\n", ":3: empty action before the final row"),
+        ],
+        ids=["blank-lines-to-eof", "data-row-after-blank-lines"],
+    )
+    def test_a_blank_action_ending_a_block(self, tmp_path, tail, expected):
+        # the blank action on line 3 ends the first block; blank lines fill the next
+        counts, _, row_block_calls = self.read(tmp_path, "t,s,a\n0,1,1\n1,2,\n" + tail)
+        assert counts == expected if isinstance(expected, list) else counts.endswith(expected)
+        # csv read on past the blank lines, so no other block is left
+        assert row_block_calls == 1
+
+    def test_a_crlf_inside_a_quoted_cell_reads_as_lf(self, tmp_path):
+        # universal newlines end the file's lines, so csv sees the CRLF inside the quotes as LF
+        path = tmp_path / "series.csv"
+        path.write_bytes(b't,s,a\r\n0,"1\r\n2",0\r\n1,2,\r\n')
+        with pytest.raises(DataError) as exc_info:
+            read_transition_counts(path)
+        assert str(exc_info.value) == f"{path}:3: column s holds '1\\n2'; real-valued columns need a binner"
+
+
 class TestOneRead:
-    """`measure` reads a file the C reader takes in one pass; the row loop reads a declined one again."""
+    """`measure` opens its input once, whichever parser takes each block."""
 
     @pytest.mark.parametrize(
         "text, options, opens, code",
@@ -1038,9 +1110,9 @@ class TestOneRead:
             # with an inferred alphabet or both sizes given, `measure` counts as it reads
             ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {}, 1, 0),
             ("t,s,a\n0,1,1\n1,2,0\n2,0,\n", {"sensor": 3, "action": 2}, 1, 0),
-            (*FALLBACKS["quoted-cell-with-comma"], 2, 0),
+            (*FALLBACKS["quoted-cell-with-comma"], 1, 0),
             # a byte that is not UTF-8 is found as the row loop reads, not by reading the file again
-            ("t,s,a\n0,1,1\n1,\udcff2,0\n2,0,\n", {}, 2, 2),
+            ("t,s,a\n0,1,1\n1,\udcff2,0\n2,0,\n", {}, 1, 2),
         ],
         ids=["c-reader-series", "c-reader-counts", "declined", "bad-byte"],
     )
@@ -1184,8 +1256,7 @@ class TestFastMatchesRowLoop:
             if columns is not None:
                 specs = column_specs(options)
                 # the C reader's values are the row loop's, bit for bit, and so are the symbols
-                blocks = [block[:2] for block in estimation._value_blocks(path, specs)]
-                parsed = [np.concatenate(parts) for parts in zip(*blocks)]
+                parsed = fast_columns(path, options, values_of)
                 values, symbols = row_loop_columns(path, specs)
                 assert_same_bits(parsed, values)
                 assert_same_bits(columns, symbols)

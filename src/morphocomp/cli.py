@@ -41,9 +41,10 @@ ETA_RANGE = (0.0, 0.5)
 BETA_RANGE = (0.0, 2.0)
 
 # |S| x |A| x |S| float64 tables `measure` may hold at once.  Measured under tracemalloc,
-# 3.0-3.1 in `estimate_arrays`, the int64 counts included, then 5.2 in `intrinsic_values`,
-# the model included and the counts freed; a parsed block comes on top.  Growing an inferred count
-# table holds at most 4.9 int64 tables: the old one and one up to 1.5 x 1.5 x 1.5 the final size
+# 2.1-2.4 in `estimate_arrays`, the int64 counts included, then 4.3-4.9 in `intrinsic_values`,
+# the model and the two tables of `prob.log_ratio_sum`'s scratch included and the counts freed;
+# a parsed block comes on top.  Growing an inferred count table holds at most 4.9 int64 tables:
+# the old one and one up to 1.5 x 1.5 x 1.5 the final size
 PEAK_TABLES = 7
 
 

@@ -81,20 +81,25 @@ def _check_lengths(sensors, actions):
 
 
 def _symbol_column(values, column: str) -> np.ndarray:
-    """One column of symbols as int64; input not of signed integer dtype must hold whole numbers."""
+    """One column of symbols: signed integers, and unsigned ones of up to 32 bits, as given.
+
+    Any other input, uint64 included, must hold whole numbers within int64,
+    and is copied to int64.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DataError("symbol series must be one-dimensional")
-    if arr.dtype.kind != "i":
-        try:
-            real = arr.astype(np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"{column} must be whole numbers within int64") from None
-        bad = ~(np.isfinite(real) & (real == np.floor(real)) & (np.abs(real) < 2.0**63))
-        if bad.any():
-            index = int(np.argmax(bad))
-            raise DataError(f"{column}[{index}] is {arr[index]}, not a whole number within int64")
-    return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "i" or (arr.dtype.kind == "u" and arr.dtype.itemsize <= 4):
+        return arr
+    try:
+        real = arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{column} must be whole numbers within int64") from None
+    bad = ~(np.isfinite(real) & (real == np.floor(real)) & (np.abs(real) < 2.0**63))
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise DataError(f"{column}[{index}] is {arr[index]}, not a whole number within int64")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,10 @@ def count_transitions(sensors: np.ndarray, actions: np.ndarray, n_s: int, n_a: i
         for symbol in (symbols.min(), symbols.max()) if len(symbols) else ():
             if not 0 <= symbol < size:
                 raise DataError(f"{what} symbol {symbol} outside alphabet of size {size}")
-    return _count_blocks([(sensors, actions)], n_s, n_a)
+    # counted in slices of BLOCK_ROWS steps, so narrow symbols are widened a slice at a time
+    starts = range(0, len(sensors), BLOCK_ROWS)
+    blocks = ((sensors[i : i + BLOCK_ROWS], actions[i : i + BLOCK_ROWS]) for i in starts)
+    return _count_blocks(blocks, n_s, n_a)
 
 
 def _count_blocks(blocks, n_s, n_a, check=None):
@@ -201,7 +209,8 @@ def _tables(counts: np.ndarray):
     """The unchecked prior (S,), policy (S,A) and world model (S,A,S) of a count table."""
     n_s, n_a, _ = counts.shape
     visits_sa = counts.sum(axis=2).astype(np.float64)
-    world = (counts + 1.0 / n_s) / (visits_sa + 1.0)[:, :, None]
+    world = counts + 1.0 / n_s
+    world /= (visits_sa + 1.0)[:, :, None]
     visits_s = visits_sa.sum(axis=1)
     policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
     prior = (visits_s + 1.0 / n_s) / (counts.sum() + 1.0)

@@ -45,6 +45,7 @@ from .prob import (
     Kernel3,
     check_probs,
     cmi_arrays,
+    cmi_shared,
     compose_arrays,
     log_ratio_sum,
     log_size,
@@ -122,22 +123,22 @@ def _square_log_size(P: np.ndarray) -> float:
     return log_size(P.shape[3])
 
 
-def action_effect(P: np.ndarray) -> np.ndarray:
+def action_effect(P: np.ndarray, shared=None) -> np.ndarray:
     """1 - I(Z; Y | X) / ln|Z| for stacked joints P of shape (B,X,Y,Z).
 
     The first concept (the action's missing effect) behind :func:`mc_a` and
-    :func:`asoc_a`, one value per joint.
+    :func:`asoc_a`, one value per joint; `shared` as in :func:`cmi_arrays`.
     """
-    return 1.0 - cmi_arrays(P, given=0) / _square_log_size(P)
+    return 1.0 - cmi_arrays(P, 0, shared) / _square_log_size(P)
 
 
-def world_effect(P: np.ndarray) -> np.ndarray:
+def world_effect(P: np.ndarray, shared=None) -> np.ndarray:
     """I(Z; X | Y) / ln|Z| for stacked joints P of shape (B,X,Y,Z).
 
     The second concept (the world's own effect) behind :func:`mc_w` and
-    :func:`asoc_w`, one value per joint.
+    :func:`asoc_w`, one value per joint; `shared` as in :func:`cmi_arrays`.
     """
-    return cmi_arrays(P, given=1) / _square_log_size(P)
+    return cmi_arrays(P, 1, shared) / _square_log_size(P)
 
 
 def mc_a(joint: Joint3) -> float:
@@ -357,6 +358,17 @@ def c_w(model: IntrinsicModel) -> float:
 INTRINSIC_MEASURES = ("asoc_a", "asoc_w", "c_a", "c_w")
 
 
+def _sensor_effects(prior, policy, world, names) -> dict[str, np.ndarray]:
+    """Those of asoc_a and asoc_w in `names`, from one joint whose p(x,y) and support they share.
+
+    The joint is let go on return, before the interventional measures run.
+    """
+    joint = compose_arrays(prior, policy, world)
+    shared = cmi_shared(joint)
+    effects = {"asoc_a": action_effect, "asoc_w": world_effect}
+    return {name: effect(joint, shared) for name, effect in effects.items() if name in names}
+
+
 def intrinsic_values(
     prior: np.ndarray, policy: np.ndarray, world: np.ndarray, names=INTRINSIC_MEASURES
 ) -> dict[str, np.ndarray]:
@@ -366,12 +378,12 @@ def intrinsic_values(
     probability tables (see :func:`check_probs`).
     """
     values: dict[str, np.ndarray] = {}
-    joint = None
+    sensor_effects = None
     for name in names:
         if name in ("asoc_a", "asoc_w"):
-            if joint is None:
-                joint = compose_arrays(prior, policy, world)
-            values[name] = action_effect(joint) if name == "asoc_a" else world_effect(joint)
+            if sensor_effects is None:
+                sensor_effects = _sensor_effects(prior, policy, world, names)
+            values[name] = sensor_effects[name]
         elif name == "c_a":
             values[name] = _c_a(prior, policy, world)
         elif name == "c_w":

@@ -4,7 +4,10 @@ Distributions, conditional kernels and three-variable joints are stored as
 dense float64 arrays and validated on construction.  Alphabets in this
 package are small (at most a few dozen symbols), so everything is dense.
 All objects are immutable after construction and all operations are pure
-functions; values can be shared freely across threads.
+functions; values can be shared freely across threads.  The one state is
+:func:`log_ratio_sum`'s scratch, a per-thread buffer (``threading.local``)
+that it forms large tables in and never hands out, so threads measuring at
+once neither share it nor wait on one another.
 
 The checks and the arithmetic that the measures batch (``check_probs``,
 ``compose_arrays``, ``cmi_arrays``) work on stacks of tables with a leading
@@ -26,8 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -95,25 +99,67 @@ def check_probs(arr: np.ndarray, name: str, whole: bool = False) -> np.ndarray:
     return _normalized(arr, axis=axis, name=name)
 
 
+# tables under this many bytes are allocated afresh on each call; larger ones are formed in
+# the scratch, so that the measures of one model after another do not make the C library
+# return and fault in the same pages again
+SCRATCH_FLOOR = 64 * 1024
+
+
+class _Scratch(threading.local):
+    """This thread's float64 buffers of :func:`log_ratio_sum`, one per slot."""
+
+    def __init__(self):
+        self.slots = [None, None]
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(slot: int, shape: tuple) -> np.ndarray:
+    """A float64 table of `shape` in this thread's buffer `slot`, or a new one under the floor.
+
+    The buffer is replaced when it is too small, and let go when the table
+    needs under a quarter of it, so it holds no more than four times the
+    largest table of the latest calls.
+    """
+    size = math.prod(shape)
+    if 8 * size < SCRATCH_FLOOR:
+        return np.empty(shape)
+    slots = _SCRATCH.slots
+    if slots[slot] is None or not size <= slots[slot].size <= 4 * size:
+        slots[slot] = None  # the old buffer goes before the new one is made
+        slots[slot] = np.empty(size)
+    return slots[slot][:size].reshape(shape)
+
+
 def log_ratio_sum(weights, num, den, where, axis) -> np.ndarray:
     """Sum of weights * ln(num / den) over `axis`, on the entries `where` holds.
 
-    `num` and `den` are arrays or tuples of factors, and all operands
+    `num` and `den` are float64 arrays or tuples of factors, and all operands
     broadcast to one shape.  Entries outside `where` are never divided and
     add nothing, which is the 0 * ln 0 = 0 convention when `where` is the
     support of the weights.  The ratio is formed from the products of the
     factors; a sum that is not finite because a product under- or
-    overflowed is summed again from the logarithms of the factors.
+    overflowed is summed again from the logarithms of the factors.  The
+    ratio, its logarithm and the weighted terms are formed in place in the
+    calling thread's scratch, and a denominator of several factors in a
+    second buffer; the result is a new array.
     """
     nums, dens = (factors if isinstance(factors, tuple) else (factors,) for factors in (num, den))
-    ratio = np.ones(np.broadcast_shapes(*(factor.shape for factor in nums + dens)))
+    shape = np.broadcast_shapes(*map(np.shape, (weights, where, *nums, *dens)))
 
-    def weighted_log(factor):
-        return weights * np.log(factor)
+    def weighted_log(factor, out=None):
+        return np.multiply(weights, np.log(factor, out=out), out=out)
 
+    ratio = _scratch(0, shape)
     with np.errstate(all="ignore"):
-        np.divide(reduce(np.multiply, nums), reduce(np.multiply, dens), out=ratio, where=where)
-        value = np.sum(weighted_log(ratio), axis=axis, where=where)
+        # factors are multiplied left to right in a buffer; reduce takes a lone one as it is
+        numerator = reduce(partial(np.multiply, out=ratio), nums)
+        denominator = (
+            dens[0] if len(dens) == 1 else reduce(partial(np.multiply, out=_scratch(1, shape)), dens)
+        )
+        np.divide(numerator, denominator, out=ratio, where=where)
+        value = np.sum(weighted_log(ratio, out=ratio), axis=axis, where=where)
         redo = ~np.isfinite(value)
         if redo.any():
             terms = reduce(np.add, map(weighted_log, nums)) - reduce(np.add, map(weighted_log, dens))
@@ -250,22 +296,29 @@ def kl(p: Distribution, q: Distribution) -> float:
     return value if value > 0.0 else 0.0
 
 
-def cmi_arrays(P: np.ndarray, given: int) -> np.ndarray:
+def cmi_arrays(P: np.ndarray, given: int, shared=None) -> np.ndarray:
     """I(Z; source | given) in nats for stacked joints P of shape (B,X,Y,Z).
 
     Axis `given` (0 for X, 1 for Y, counted after the batch axis) is
     conditioned on and the other is the source; equals
     sum_{x,y,z} p(x,y,z) ln[ p(z|x,y) / p(z|given) ] for each joint.
+    `shared` is P's :func:`cmi_shared`, which both axes use; it is
+    computed here when None.
     """
-    p_xy = P.sum(axis=3)
+    p_xy, support = cmi_shared(P) if shared is None else shared
     if given == 0:
         p_g = P.sum(axis=(2, 3))[:, :, None, None]
         p_gz = P.sum(axis=2)[:, :, None, :]
     else:
         p_g = P.sum(axis=(1, 3))[:, None, :, None]
         p_gz = P.sum(axis=1)[:, None, :, :]
-    value = log_ratio_sum(P, (P, p_g), (p_xy[:, :, :, None], p_gz), P > 0, axis=(1, 2, 3))
+    value = log_ratio_sum(P, (P, p_g), (p_xy[:, :, :, None], p_gz), support, axis=(1, 2, 3))
     return np.where(value > 0.0, value, 0.0)
+
+
+def cmi_shared(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal p(x,y) (B,X,Y) and the support P > 0 of stacked joints P, for :func:`cmi_arrays`."""
+    return P.sum(axis=3), P > 0
 
 
 def conditional_mutual_information(joint: Joint3, given: int) -> float:

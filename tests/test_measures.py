@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from morphocomp.measures import (
     mc_a,
     mc_w,
 )
-from morphocomp.estimation import estimate, joint_from_model
+from morphocomp.estimation import count_transitions, estimate, estimate_arrays, joint_from_model
 from morphocomp.prob import (
     Alphabet,
     DegenerateAlphabetError,
@@ -479,3 +482,48 @@ class TestCheckedRows:
             checked_rows(values)
         assert str(caught.value) == "measure asoc_w = nan is outside [0, 1] beyond tolerance"
         assert caught.value.batch == 2
+
+
+def estimated_tables(rng, n_s, n_a, steps=3000):
+    """The checked tables of a random recording on n_s sensor and n_a action symbols."""
+    counts = count_transitions(rng.integers(0, n_s, steps + 1), rng.integers(0, n_a, steps), n_s, n_a)
+    return estimate_arrays(counts)
+
+
+def value_bits(values):
+    return {name: value.tobytes() for name, value in values.items()}
+
+
+class TestWorkingMemory:
+    def test_a_warm_call_holds_under_two_tables(self):
+        # the first call makes the scratch; a later one holds the joint, its support
+        # and numpy's buffers for broadcast factors, about 1.8 tables at a 30 x 30 model
+        tables = estimated_tables(np.random.default_rng(0), 30, 30, 5000)
+        intrinsic_values(*tables)
+        tracemalloc.start()
+        try:
+            intrinsic_values(*tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * tables[2].nbytes
+
+    def test_threads_measuring_at_once_get_the_serial_bits(self):
+        # more threads than cores, models above and below the scratch's floor
+        rng = np.random.default_rng(8)
+        models = [estimated_tables(rng, n_s, n_a) for n_s, n_a in ((30, 30), (25, 20), (30, 10), (12, 8))]
+        serial = [value_bits(intrinsic_values(*tables)) for tables in models]
+
+        def repeat(tables):
+            return [value_bits(intrinsic_values(*tables)) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(models)) as pool:
+                futures = [pool.submit(repeat, tables) for tables in models]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for repeats, expected in zip(results, serial):
+            assert repeats == [expected] * 20

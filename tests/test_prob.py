@@ -1,6 +1,8 @@
 import inspect
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +260,117 @@ class TestLogRatioSum:
         }
         sites["prob.py"] -= 1
         assert sites == dict.fromkeys(sites, 0)
+
+
+def reference_log_ratio_sum(weights, num, den, where, axis):
+    """log_ratio_sum as written before its scratch, each step a new array: the bitwise reference."""
+    nums, dens = (factors if isinstance(factors, tuple) else (factors,) for factors in (num, den))
+    ratio = np.ones(np.broadcast_shapes(*(factor.shape for factor in nums + dens)))
+
+    def weighted_log(factor):
+        return weights * np.log(factor)
+
+    with np.errstate(all="ignore"):
+        np.divide(reduce(np.multiply, nums), reduce(np.multiply, dens), out=ratio, where=where)
+        value = np.sum(weighted_log(ratio), axis=axis, where=where)
+        redo = ~np.isfinite(value)
+        if redo.any():
+            terms = reduce(np.add, map(weighted_log, nums)) - reduce(np.add, map(weighted_log, dens))
+            value[redo] = np.sum(terms, axis=axis, where=where)[redo]
+    return value
+
+
+def assert_same_bits(value, expected):
+    assert value.shape == expected.shape
+    assert value.tobytes() == expected.tobytes()
+
+
+def cmi_operands(P):
+    """cmi_arrays' operands on joints P, given axis 0: two factors over two, summed per table."""
+    p_g = P.sum(axis=(2, 3))[:, :, None, None]
+    p_xy = P.sum(axis=3)[:, :, :, None]
+    p_gz = P.sum(axis=2)[:, :, None, :]
+    return P, (P, p_g), (p_xy, p_gz), P > 0, (1, 2, 3)
+
+
+@st.composite
+def log_ratio_operands(draw):
+    """Operands broadcast along drawn axes, with zero weights, zero factors and extreme tables.
+
+    Every factor keeps the batch axis.  A table's factors are scaled by 1e-200
+    or 1e200 at times, so that products of several under- or overflow and the
+    table is summed again from the factors.  About half the draws have three
+    axes of 20 or 30, which make tables above the scratch's floor.
+    """
+    small = st.lists(st.sampled_from([1, 2, 7, 30]), min_size=1, max_size=3)
+    axes = draw(st.one_of(small, st.lists(st.sampled_from([20, 30]), min_size=3, max_size=3)))
+    shape = (draw(st.integers(1, 3)), *axes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.2, 1.0]))
+
+    def sub_shape(full, keep_batch):
+        kept = draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        kept[0] |= keep_batch
+        return tuple(n if keep else 1 for n, keep in zip(full, kept))
+
+    scale = rng.choice([1e-200, 1.0, 1e200], size=shape[0]).reshape(-1, *[1] * len(axes))
+
+    def factors():
+        drawn = []
+        for _ in range(draw(st.integers(1, 3))):
+            factor = rng.random(sub_shape(shape, True)) * scale
+            factor[rng.random(factor.shape) < zeros / 4] = 0.0
+            drawn.append(factor)
+        return tuple(drawn)
+
+    nums, dens = factors(), factors()
+    full = np.broadcast_shapes(*(factor.shape for factor in nums + dens))
+    weights = rng.random(sub_shape(full, False))
+    weights[rng.random(weights.shape) < zeros] = 0.0
+    where = weights > 0 if draw(st.booleans()) else rng.random(sub_shape(full, False)) < 0.7
+    axis = draw(st.sampled_from([tuple(range(1, len(full))), len(full) - 1]))
+    # a lone factor is passed bare or as a tuple of one
+    num, den = (f[0] if len(f) == 1 and draw(st.booleans()) else f for f in (nums, dens))
+    return weights, num, den, where, axis
+
+
+class TestLogRatioSumScratch:
+    @settings(max_examples=200, deadline=None)
+    @given(operands=log_ratio_operands())
+    def test_bitwise_equal_to_the_formula_with_new_arrays(self, operands):
+        assert_same_bits(log_ratio_sum(*operands), reference_log_ratio_sum(*operands))
+
+    def test_redo_path_keeps_its_bits_in_the_scratch(self):
+        # 30 x 30 x 30 tables, above the floor, whose products underflow in table 0
+        # and overflow in table 2 as in the small table test above
+        rng = np.random.default_rng(4)
+        P = rng.dirichlet(np.ones(27_000), size=3).reshape(3, 30, 30, 30)
+        weights, num, den, where, axis = cmi_operands(P)
+        scale = np.array([1e-200, 1.0, 1e200])[:, None, None, None]
+        num, den = tuple(f * scale for f in num), tuple(f * scale for f in den)
+        value = log_ratio_sum(weights, num, den, where, axis)
+        assert np.isfinite(value).all()
+        assert_same_bits(value, reference_log_ratio_sum(weights, num, den, where, axis))
+
+    def test_back_to_back_calls_of_other_sizes_keep_their_bits_and_bound_the_scratch(self):
+        # sizes in entries, on a fresh thread's scratch: the first buffer is kept for a table
+        # of a quarter of it or more and let go below; a table under the floor leaves it be
+        sizes = [(1, 40, 40, 40), (1, 30, 30, 30), (1, 10, 30, 30), (1, 5, 5, 5), (2, 30, 30, 30)]
+        held = [64_000, 64_000, 9_000, 9_000, 54_000]
+        rng = np.random.default_rng(6)
+        joints = [rng.dirichlet(np.ones(math.prod(s[1:])), size=s[0]).reshape(s) for s in sizes]
+
+        def measure():
+            out = []
+            for P in joints:
+                out.append((log_ratio_sum(*cmi_operands(P)), [b.size for b in prob._SCRATCH.slots]))
+            return out
+
+        with ThreadPoolExecutor(1) as pool:
+            results = pool.submit(measure).result(timeout=60)
+        for P, (value, slots), size in zip(joints, results, held):
+            assert_same_bits(value, reference_log_ratio_sum(*cmi_operands(P)))
+            assert slots == [size, size]
 
 
 class TestRaiseFirst:

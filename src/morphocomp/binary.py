@@ -22,7 +22,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .measures import action_effect, checked_rows, intrinsic_values, world_effect
+from .measures import action_effect, checked_columns, intrinsic_values, rows_of, world_effect
 from .prob import ComputeError, check_probs, compose_arrays, raise_first
 
 SIGNS = np.array([-1.0, 1.0])
@@ -34,8 +34,8 @@ DEFAULT_MU_VALUES = (0.0, 1.0, 20.0)
 STRICT = 20.0
 
 # Grid points per array pass of a sweep.  A chunk of 1,024 peaks at about
-# 1.7 MB of arrays and rows (tracemalloc) and runs near the speed of one pass
-# over all 7,803 points of the default grid, which would peak at about 8.6 MB.
+# 1.1 MB of arrays and columns (tracemalloc) and runs near the speed of one pass
+# over all 7,803 points of the default grid, which would peak at about 5.7 MB.
 SWEEP_CHUNK = 1024
 
 
@@ -101,14 +101,13 @@ def intrinsic_model_arrays(alpha, beta, pi, p_w):
     return check_probs(p_s, "distribution"), pi, check_probs(world, "kernel")
 
 
-def _reports(phi, psi, mu, zeta: float, tau: float) -> list[dict[str, float]]:
-    """Rows for the points (phi[i], psi[i], mu[i]) at one zeta and tau, in one array pass."""
+def _columns(phi, psi, mu, zeta: float, tau: float) -> dict[str, list[float]]:
+    """The columns of the points (phi[i], psi[i], mu[i]) at one zeta and tau, in one array pass."""
     maps = kernel_arrays(phi, psi, zeta, mu, tau)
     joint = world_joint_arrays(*maps)
     values = {"mc_a": action_effect(joint), "mc_w": world_effect(joint)}
     values.update(intrinsic_values(*intrinsic_model_arrays(*maps)))
-    rows = zip(phi.tolist(), psi.tolist(), mu.tolist(), checked_rows(values))
-    return [{"phi": p, "psi": s, "mu": m, **row} for p, s, m, row in rows]
+    return {"phi": phi.tolist(), "psi": psi.tolist(), "mu": mu.tolist(), **checked_columns(values)}
 
 
 def point_measures(phi: float, psi: float, mu: float, zeta: float, tau: float) -> dict:
@@ -123,14 +122,18 @@ def sweep(
     zeta: float = STRICT,
     tau: float = 0.0,
 ) -> Iterator[dict[str, float]]:
-    """Measure surfaces over a (phi, psi, mu) grid, one row per point in grid order.
+    """Measure surfaces over a (phi, psi, mu) grid: the rows of :func:`sweep_columns`, in grid order."""
+    return rows_of(sweep_columns(phi_values, psi_values, mu_values, zeta, tau))
 
-    A row holds the point's phi, psi and mu and its six measures.  The grid
-    is checked whole up front.  Its points are then evaluated
-    :data:`SWEEP_CHUNK` at a time in array passes, their values range-checked
-    as arrays, and the rows are yielded chunk by chunk.  A failing chunk's
-    error names the first point, in grid order, that fails the first check
-    to fail in its array pass; another point may fail a later check too.
+
+def sweep_columns(phi_values, psi_values, mu_values, zeta: float, tau: float) -> Iterator[dict]:
+    """The sweep's phi, psi, mu and six measures as lists, one dict of columns per chunk.
+
+    The grid is checked whole up front.  Its points are then evaluated
+    :data:`SWEEP_CHUNK` at a time in array passes, in grid order, their values
+    range-checked as arrays.  A failing chunk's error names the first point,
+    in grid order, that fails the first check to fail in its array pass;
+    another point may fail a later check too.
     """
     axes = [np.array(tuple(values), dtype=np.float64) for values in (phi_values, psi_values, mu_values)]
     if not all(axis.size for axis in axes):
@@ -139,16 +142,16 @@ def sweep(
     return _sweep_chunks(axes, float(zeta), float(tau))
 
 
-def _sweep_chunks(axes, zeta: float, tau: float) -> Iterator[dict[str, float]]:
+def _sweep_chunks(axes, zeta: float, tau: float) -> Iterator[dict]:
     shape = tuple(axis.size for axis in axes)
     total = int(np.prod(shape))
     for start in range(0, total, SWEEP_CHUNK):
         i, j, k = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
         phi, psi, mu = axes[0][i], axes[1][j], axes[2][k]
         try:
-            rows = _reports(phi, psi, mu, zeta, tau)
+            columns = _columns(phi, psi, mu, zeta, tau)
         except ComputeError as exc:
             b = exc.batch
             exc.args = (f"phi={phi[b]:g}, psi={psi[b]:g}, mu={mu[b]:g}: {exc}", *exc.args[1:])
             raise
-        yield from rows
+        yield columns

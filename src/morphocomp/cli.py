@@ -7,7 +7,7 @@ Commands:
   rotator sweep averaged measures over a noise/deadband grid
 
 Every command measures on plain arrays, builds no validated object and
-range-checks its values once per array (``measures.checked_rows``); the
+range-checks its values once per array (``measures.checked_columns``); the
 rotator commands leave both to ``rotator`` and only warn and write files.  Every
 invocation that writes files also writes a manifest.json capturing the
 resolved configuration, seed and tool version, sufficient to regenerate the
@@ -18,18 +18,18 @@ out of memory, 3 numerical or consistency error (a ``prob.ComputeError``).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import itertools
 import json
 import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, binary, rotator
 from .estimation import Binner, estimate_arrays, read_transition_counts
-from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
+from .measures import INTRINSIC_MEASURES, checked_columns, intrinsic_values, rows_of
 from .prob import ComputeError
 from .rotator import RotatorConfig
 
@@ -46,6 +46,13 @@ BETA_RANGE = (0.0, 2.0)
 # a parsed block comes on top.  Growing an inferred count table holds at most 4.9 int64 tables:
 # the old one and one up to 1.5 x 1.5 x 1.5 the final size
 PEAK_TABLES = 7
+
+# peak bytes per step of a `rotator run` episode and of a `rotator sweep` lane, its noise,
+# transients and symbols; tracemalloc read 72 and 10.8 at 200,000 steps
+RUN_STEP_BYTES, LANE_STEP_BYTES = 80, 11
+
+# rows whose cells `_write_csv` formats at once, so a long `rotator run` is written a few MB at a time
+WRITE_ROWS = 8192
 
 
 class UsageError(ValueError):
@@ -81,11 +88,20 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: li
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _write_csv(path: Path, columns, rows) -> None:
+def _write_csv(path: Path, columns, chunks: Iterable[dict]) -> None:
+    """Write `columns` and the chunks' arrays or lists of floats, ints or blanks as csv.writer would.
+
+    An array's cells are its `.tolist()` values; each cell is written as its
+    str (a float's repr), `WRITE_ROWS` rows at a time.  A blank never stands
+    alone in a row, where csv.writer would quote it.
+    """
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        handle.write(",".join(columns) + "\r\n")
+        for chunk in chunks:
+            for start in range(0, len(chunk[columns[0]]), WRITE_ROWS):
+                block = (chunk[name][start : start + WRITE_ROWS] for name in columns)
+                cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in block]
+                handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _write_json(path: Path, document, sort_keys: bool = True) -> None:
@@ -94,24 +110,36 @@ def _write_json(path: Path, document, sort_keys: bool = True) -> None:
         handle.write("\n")
 
 
-def _write_table(out: Path, stem: str, fmt: str, columns, rows: Iterable[dict]) -> Path:
-    """Write the rows, each with its entries picked by `columns`.
+def _write_table(out: Path, stem: str, fmt: str, columns, chunks: Iterable[dict]) -> Path:
+    """Write the chunks' columns named by `columns`, in that order.
 
     `fmt` "json" writes `<stem>.json`, a list of records in column order;
-    anything else writes `<stem>.csv`.  The rows may be a stream: CSV
-    rows are written as they arrive, and a stream that fails leaves no
+    anything else writes `<stem>.csv`.  The chunks may be a stream: CSV
+    chunks are written as they arrive, and a stream that fails leaves no
     partial table behind.
     """
     path = out / f"{stem}.{'json' if fmt == 'json' else 'csv'}"
     try:
         if fmt == "json":
-            _write_json(path, [{c: row[c] for c in columns} for row in rows], sort_keys=False)
+            records = rows_of({c: chunk[c] for c in columns} for chunk in chunks)
+            _write_json(path, list(records), sort_keys=False)
         else:
-            _write_csv(path, columns, ([row[c] for c in columns] for row in rows))
+            _write_csv(path, columns, chunks)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+def _check_steps(steps: int, lanes: int, step_bytes: int) -> None:
+    """Reject a step count whose arrays for `lanes` episodes at once exceed physical memory."""
+    needed = step_bytes * lanes * (steps + 1)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise UsageError(
+            f"--steps {steps} needs {needed} bytes for the noise, transients and symbols of "
+            f"{lanes} episode(s) at once, more than the {memory} bytes of physical memory"
+        )
 
 
 def _ensure_out(args) -> Path:
@@ -160,7 +188,7 @@ def cmd_measure(args) -> int:
     tables = estimate_arrays(counts)
     # the counts go before the measures' working tables are formed
     del counts
-    (values,) = checked_rows(intrinsic_values(*tables, names))
+    (values,) = rows_of([checked_columns(intrinsic_values(*tables, names))])
     document = {"values": values, "metadata": {
         "input": str(args.input),
         "transitions": transitions,
@@ -194,10 +222,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_binary_sweep(args) -> int:
-    rows = binary.sweep(args.phi, args.psi, args.mu, zeta=args.zeta, tau=args.tau)
+    chunks = binary.sweep_columns(args.phi, args.psi, args.mu, args.zeta, args.tau)
     points = len(args.phi) * len(args.psi) * len(args.mu)
     out = _ensure_out(args)
-    table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, rows)
+    table_path = _write_table(out, "binary_sweep", args.format, BINARY_SWEEP_COLUMNS, chunks)
     _write_manifest(
         out,
         "binary-sweep",
@@ -235,28 +263,19 @@ def _rotator_config(args) -> RotatorConfig:
 
 def cmd_rotator_run(args) -> int:
     cfg = _rotator_config(args)
+    _check_steps(cfg.steps, 1, RUN_STEP_BYTES)
     _warn_soft_range("eta", cfg.eta, *ETA_RANGE)
     _warn_soft_range("beta", cfg.beta, *BETA_RANGE)
     values, (velocities, sensors, g_clamped, forces) = rotator.run_episode(cfg)
-    times = [t * cfg.control_dt for t in range(cfg.steps)]
+    times = np.arange(cfg.steps) * cfg.control_dt
     out = _ensure_out(args)
 
-    transients_path = out / "transients.csv"
-    _write_csv(
-        transients_path,
-        ("t", "s", "g_clamped", "f"),
-        zip(
-            times,
-            sensors[:-1],
-            g_clamped,
-            forces,
-        ),
-    )
-    series_path = out / "series.csv"
-    steps = zip(times, velocities[:-1], forces / cfg.f_max)
+    transients = {"t": times, "s": sensors[:-1], "g_clamped": g_clamped, "f": forces}
+    transients_path = _write_table(out, "transients", "csv", tuple(transients), [transients])
+    steps = {"t": times, "s": velocities[:-1], "a": forces / cfg.f_max}
     # final observation has no action yet
-    final = (cfg.steps * cfg.control_dt, velocities[-1], "")
-    _write_csv(series_path, ("t", "s", "a"), itertools.chain(steps, [final]))
+    final = {"t": [cfg.steps * cfg.control_dt], "s": velocities[-1:], "a": [""]}
+    series_path = _write_table(out, "series", "csv", ("t", "s", "a"), [steps, final])
 
     for name, value in values.items():
         print(f"{name:<8s} {value:.6f}")
@@ -272,13 +291,15 @@ def cmd_rotator_run(args) -> int:
 
 def cmd_rotator_sweep(args) -> int:
     cfg = _rotator_config(args)
-    rows = rotator.sweep(args.eta_grid, args.beta_grid, args.runs, cfg)  # checks the grid first
+    chunks = rotator.sweep_columns(args.eta_grid, args.beta_grid, args.runs, cfg)  # checks the grid
+    lanes = len(args.beta_grid) * sum(args.runs if eta else 1 for eta in args.eta_grid)
+    _check_steps(cfg.steps, min(lanes, rotator.SWEEP_CHUNK), LANE_STEP_BYTES)
     for eta in args.eta_grid:
         _warn_soft_range("eta", eta, *ETA_RANGE)
     for beta in args.beta_grid:
         _warn_soft_range("beta", beta, *BETA_RANGE)
     out = _ensure_out(args)
-    table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, rows)
+    table_path = _write_table(out, "rotator_sweep", args.format, ROTATOR_SWEEP_COLUMNS, chunks)
     _write_manifest(
         out,
         "rotator-sweep",

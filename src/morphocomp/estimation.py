@@ -214,6 +214,8 @@ def _tables(counts: np.ndarray):
     visits_s = visits_sa.sum(axis=1)
     policy = (visits_sa + 1.0 / n_a) / (visits_s + 1.0)[:, None]
     prior = (visits_s + 1.0 / n_s) / (counts.sum() + 1.0)
+    for table in (prior, policy, world):  # read-only, so the probability objects take them uncopied
+        table.setflags(write=False)
     return prior, policy, world
 
 

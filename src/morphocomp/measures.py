@@ -27,11 +27,12 @@ prior p(s) (B,S), policy p(a|s) (B,S,A) and world model p(s'|s,a)
 (B,S,A,S).  A batch of models, such as the points of a binary sweep, is
 measured in one pass.  The functions on validated objects (``mc_a`` ...
 ``c_w``, ``intrinsic_measures``) call the core with a batch of one.  The
-sweeps and the CLI report through ``checked_rows``, one range check per array.
+sweeps and the CLI report through ``checked_columns``, one range check per array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .prob import (
 )
 
 # Values may stray this far outside [0, 1] from float accumulation before
-# `checked_rows` treats them as evidence of a bug.
+# `checked_columns` treats them as evidence of a bug.
 RANGE_TOL = 1e-9
 
 # The two forms of c_a are algebraically identical; a larger gap signals an
@@ -95,14 +96,14 @@ class IntrinsicModel:
         return self.policy.target
 
 
-def checked_rows(values: dict[str, np.ndarray]) -> list[dict[str, float]]:
-    """Named value arrays with a leading batch axis as rows, checked in the order given.
+def checked_columns(values: dict[str, np.ndarray]) -> dict[str, list[float]]:
+    """Named value arrays with a leading batch axis as lists, checked in the order given.
 
     A NaN, or a value more than :data:`RANGE_TOL` outside [0, 1], raises
     ConsistencyError with `batch` set to its row; any other value is clamped
     as min(max(v, 0.0), 1.0) clamps it, so a -0.0 stays -0.0.
     """
-    columns = []
+    columns = {}
     for name, value in values.items():
         bad = ~((value >= -RANGE_TOL) & (value <= 1.0 + RANGE_TOL))
         if bad.any():
@@ -111,8 +112,13 @@ def checked_rows(values: dict[str, np.ndarray]) -> list[dict[str, float]]:
                 f"measure {name} = {float(value[b])!r} is outside [0, 1] beyond tolerance",
                 batch=b,
             )
-        columns.append(np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value)).tolist())
-    return [dict(zip(values, row)) for row in zip(*columns)]
+        columns[name] = np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value)).tolist()
+    return columns
+
+
+def rows_of(chunks: Iterable[dict[str, list]]) -> Iterator[dict]:
+    """The rows of chunks of equal-length named columns, each a dict in column order."""
+    return (dict(zip(chunk, row)) for chunk in chunks for row in zip(*chunk.values()))
 
 
 def _square_log_size(P: np.ndarray) -> float:

@@ -186,8 +186,12 @@ def _validate(obj, field: str, shape: tuple, name: str, whole: bool = False) -> 
 
     The one validation path of every probability object: the shape its
     alphabets imply, then :func:`check_probs` as a batch of one, read-only.
+    Only a read-only float64 array that owns its data is kept uncopied.
     """
-    arr = np.array(getattr(obj, field), dtype=np.float64)
+    arr = getattr(obj, field)
+    frozen = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable
+    if not (frozen and arr.flags.owndata):
+        arr = np.array(arr, dtype=np.float64)
     if arr.shape != shape:
         raise DimensionError(f"{name} of shape {arr.shape}, expected {shape}")
     arr = check_probs(arr[None], name, whole)[0]

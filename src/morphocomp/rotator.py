@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import Binner, DataError, count_transitions, estimate_arrays
-from .measures import INTRINSIC_MEASURES, checked_rows, intrinsic_values
+from .measures import INTRINSIC_MEASURES, checked_columns, intrinsic_values, rows_of
 from .prob import Alphabet, ComputeError
 
 TWO_PI = 2.0 * math.pi
@@ -259,7 +259,7 @@ def run_episode(cfg: RotatorConfig) -> tuple[dict[str, float], tuple[np.ndarray,
     batch = _simulate_batch(cfg, [np.random.SeedSequence(cfg.seed)])
     velocities, _, _, forces = transients = tuple(transient[0] for transient in batch)
     symbols = SENSOR_BINNER.index(velocities), ACTION_BINNER.index(forces / cfg.f_max)
-    (row,) = checked_rows(_episode_values(*symbols))
+    (row,) = rows_of([checked_columns(_episode_values(*symbols))])
     return row, transients
 
 
@@ -293,7 +293,7 @@ def _lane_values(cfg: RotatorConfig, lanes) -> np.ndarray:
 
 
 def _cell_reports(cfg: RotatorConfig, cells, runs: int) -> Iterator[dict]:
-    """One row per cell: eta, beta, runs and its lane values' range-checked run-order means.
+    """Each cell as a one-row chunk: eta, beta, runs and its lane values' range-checked run-order means.
 
     Lanes are measured cell-major.  Every run of an eta = 0 cell is the same
     episode, so that cell has one lane, counted `runs` times.
@@ -304,8 +304,8 @@ def _cell_reports(cfg: RotatorConfig, cells, runs: int) -> Iterator[dict]:
     for eta, beta, _, _ in cells:
         values = islice(lane_values, runs) if eta else [next(lane_values)] * runs
         means = sum(values, 0.0) / runs
-        (row,) = checked_rows(dict(zip(INTRINSIC_MEASURES, means[:, None])))
-        yield {"eta": float(eta), "beta": float(beta), "runs": runs, **row}
+        measured = checked_columns(dict(zip(INTRINSIC_MEASURES, means[:, None])))
+        yield {"eta": [float(eta)], "beta": [float(beta)], "runs": [runs], **measured}
 
 
 def cell_measures(cfg: RotatorConfig, eta: float, beta: float, runs: int) -> dict[str, float]:
@@ -318,7 +318,12 @@ def cell_measures(cfg: RotatorConfig, eta: float, beta: float, runs: int) -> dic
 
 
 def sweep(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[dict]:
-    """Averaged rows over a grid checked whole up front, yielded in (eta, beta) order.
+    """Averaged rows over a grid, yielded in (eta, beta) order: the rows of :func:`sweep_columns`."""
+    return rows_of(sweep_columns(eta_values, beta_values, runs_per_cell, cfg))
+
+
+def sweep_columns(eta_values, beta_values, runs_per_cell: int, cfg: RotatorConfig) -> Iterator[dict]:
+    """Averaged cells over a grid checked whole up front, each a one-row chunk of columns.
 
     Per-run seeds derive from (master seed, eta index, beta index, run index),
     so cells are independent.

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphocomp import binary, cli, rotator
 from morphocomp.cli import build_parser, main
@@ -635,6 +637,101 @@ class TestBadInputExitsTwo:
         code = run_cli("rotator", "run", "--config", str(config), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "beta must be finite" in capsys.readouterr().err
+
+
+class TestRotatorMemory:
+    """A step count whose up-front arrays cannot fit in physical memory exits 2 before any is made."""
+
+    def test_run_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        needed = cli.RUN_STEP_BYTES * 1001
+        TestBadInputExitsTwo.physical_memory(monkeypatch, needed - 1)
+        monkeypatch.setattr(rotator, "run_episode", None)
+        out = tmp_path / "run"
+        assert run_cli("rotator", "run", "--steps", "1000", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --steps 1000 needs {needed} bytes for the noise, transients and symbols of "
+            f"1 episode(s) at once, more than the {needed - 1} bytes of physical memory\n"
+        )
+        assert not out.exists()
+
+    def test_run_within_memory_runs(self, tmp_path, capsys, monkeypatch):
+        TestBadInputExitsTwo.physical_memory(monkeypatch, cli.RUN_STEP_BYTES * 1001)
+        assert run_cli("rotator", "run", "--steps", "1000", "--out", str(tmp_path / "run")) == 0
+
+    # 4 lanes: one for the eta = 0 cell, and 3 runs of the eta = 0.3 cell; a chunk of 2 holds 2
+    @pytest.mark.parametrize("chunk, lanes", [(1024, 4), (2, 2)])
+    def test_sweep_chunk_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch, chunk, lanes):
+        monkeypatch.setattr(rotator, "SWEEP_CHUNK", chunk)
+        argv = ["rotator", "sweep", "--eta", "0", "0.3", "--beta", "0", "--runs", "3", "--steps", "100"]
+        needed = cli.LANE_STEP_BYTES * lanes * 101
+        TestBadInputExitsTwo.physical_memory(monkeypatch, needed)
+        assert run_cli(*argv, "--out", str(tmp_path / "fits")) == 0
+        capsys.readouterr()
+        TestBadInputExitsTwo.physical_memory(monkeypatch, needed - 1)
+        monkeypatch.setattr(rotator, "_lane_values", None)
+        out = tmp_path / "beyond"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --steps 100 needs {needed} bytes for the noise, transients and symbols of "
+            f"{lanes} episode(s) at once, more than the {needed - 1} bytes of physical memory\n"
+        )
+        assert not out.exists()
+
+
+# floats at the edges of repr's formats: signed zero, subnormals, where repr turns to an exponent
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-5, 1e-4, 0.1)
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(width=64)
+
+
+@st.composite
+def table_columns(draw):
+    """Columns of drawn cells in the forms the CLI writes, with a blank final cell or not.
+
+    A column is an array of floats, a list of floats, a list of np.float64
+    scalars or a list of ints.  A blank final cell, as in series.csv, ends a
+    list column after the first: csv.writer quotes a row of one blank cell,
+    which no table of the CLI has.
+    """
+    rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(["array", "floats", "scalars", "ints"]), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind == "ints":
+            cells = draw(st.lists(st.integers(-(2**70), 2**70), min_size=rows, max_size=rows))
+        else:
+            cells = draw(st.lists(FLOATS, min_size=rows, max_size=rows))
+        columns.append(np.array(cells) if kind == "array" else cells)
+        if kind == "scalars":
+            columns[-1] = list(map(np.float64, cells))
+    if rows and len(columns) > 1 and draw(st.booleans()):
+        columns[-1] = [*columns[-1][:-1], ""]
+    return columns
+
+
+class TestCsvWriter:
+    """`cli._write_csv` writes the bytes csv.writer writes for the same cells."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_columns(), st.sampled_from([1, 2, 1024]), st.sampled_from([1, 3, cli.WRITE_ROWS]))
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, columns, chunk, write_rows):
+        names = [f"c{i}" for i in range(len(columns))]
+        tmp = tmp_path_factory.mktemp("writer")
+        expected = tmp / "expected.csv"
+        with expected.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(names)
+            # iterating an array gives np.float64 scalars, as the rows zipped from arrays did
+            writer.writerows(zip(*columns))
+        rows = len(columns[0])
+        chunks = [
+            {name: column[start : start + chunk] for name, column in zip(names, columns)}
+            for start in range(0, rows, chunk)
+        ]
+        written = tmp / "written.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "WRITE_ROWS", write_rows)
+            cli._write_csv(written, names, chunks)
+        assert written.read_bytes() == expected.read_bytes()
 
 
 COMPUTE_ERRORS = [

@@ -4,12 +4,15 @@ Whatever is drawn, a command exits 0, 2 or 3; a failing one ends stderr
 with one `error:` line after only soft-range `warning:` lines and leaves no
 table behind; no warning or other exception escapes; and a successful one
 writes measures in [0, 1] with c_w <= asoc_w.  A flag value that argparse
-cannot convert exits 2 the same way, its line naming the parser.
+cannot convert exits 2 the same way, its line naming the parser.  A config
+or flag value that breaks a physical rule exits 2; `RULES` writes the rules
+out here rather than reading them from the program's checks.
 """
 
 import contextlib
 import csv
 import io
+import math
 import tempfile
 import warnings
 from dataclasses import fields
@@ -71,8 +74,47 @@ def check_run(command, code, stdout, stderr, out: Path):
         assert all(0.0 <= float(value) <= 1.0 for name, value in printed if name in INTRINSIC_MEASURES), stdout
 
 
+# the physical rules: a mass, arm length, maximum force and control period are positive, noise,
+# deadband and the binary loop's couplings are not negative, and a run takes a step and a cell a run
+RULES = {
+    **dict.fromkeys(("mass", "length", "f_max", "control_dt"), lambda value: value > 0),
+    **dict.fromkeys(("eta", "beta", "phi", "psi", "mu", "zeta"), lambda value: value >= 0),
+    **dict.fromkeys(("steps", "runs"), lambda value: value >= 1),
+}
+
+
+def number(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def unphysical(values: dict[str, list[str]]) -> bool:
+    """Whether a value of a config entry or flag (named without its `--`) breaks a physical rule.
+
+    A value that is not a number breaks the rule of its name too.
+    """
+    return any(not RULES[name](number(text)) for name, texts in values.items() if name in RULES for text in texts)
+
+
+def flag_values(argv) -> dict[str, list[str]]:
+    """The values argv gives each flag, named without its `--`: `--flag=value`, or the arguments after it."""
+    values, flag = {}, None
+    for arg in argv:
+        if arg.startswith("--"):
+            flag, sep, value = arg[2:].partition("=")
+            values[flag] = [value] if sep else []
+        elif flag is not None:
+            values[flag].append(arg)
+    return values
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.sampled_from(FIELDS), st.sampled_from(EDGES), min_size=1, max_size=4))
+# without the mass and length checks, a zero mass exited 3 and a negative arm ran to exit 0
+@example({"mass": "0"})
+@example({"length": "-800"})
 # a response beyond the float range: it once overflowed with a numpy warning
 @example({"theta_dot_target": "1e308", "f_min": "1e308"})
 @example({"theta_dot_target": "-1e308", "control_dt": "1e-320", "beta": "1e308"})
@@ -87,6 +129,8 @@ def test_rotator_config_files_end_to_end(entries):
             out = Path(tmp) / command
             code, stdout, stderr = run_in_process([*argv, "--config", str(config), "--out", str(out)])
             check_run(command, code, stdout, stderr, out)
+            if unphysical({key: [value] for key, value in entries.items()}):
+                assert code == 2, (command, entries, stderr)
             if command == "run" and loads(config):
                 # `--steps 8` overrides no value the loader checked, so no usage error is left
                 assert code in (0, 3), (entries, stderr)
@@ -146,6 +190,8 @@ def test_sweep_flags_end_to_end(drawn):
         out = Path(tmp) / "out"
         code, stdout, stderr = run_in_process([*argv, "--out", str(out)])
         check_run(command, code, stdout, stderr, out)
+        if unphysical(flag_values(argv)):
+            assert code == 2, (argv, stderr)
         if command == "sweep" and sweep_accepts(argv):
             assert code in (0, 3), (argv, stderr)
         elif command == "sweep":
@@ -182,7 +228,10 @@ def test_rotator_run_flags_end_to_end(flags):
     argv = ["rotator", "run", *(f"{flag}={value}" for flag, value in flags.items())]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        check_run("run", *run_in_process([*argv, "--out", str(out)]), out)
+        code, stdout, stderr = run_in_process([*argv, "--out", str(out)])
+        check_run("run", code, stdout, stderr, out)
+        if unphysical(flag_values(argv)):
+            assert code == 2, (argv, stderr)
 
 
 # alphabet sizes and bin counts stay small, as a table of 800 x 800 x 800 floats would take 4 GB

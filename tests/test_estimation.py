@@ -28,7 +28,7 @@ from morphocomp.estimation import (
     joint_from_model,
     read_transition_counts,
 )
-from morphocomp.measures import INTRINSIC_MEASURES, IntrinsicModel, checked_rows, intrinsic_values
+from morphocomp.measures import INTRINSIC_MEASURES, IntrinsicModel, checked_columns, intrinsic_values, rows_of
 from morphocomp.prob import Alphabet, Distribution, Kernel2, Kernel3
 
 
@@ -364,6 +364,21 @@ class TestEstimateMemory:
         # 0.7 bytes a transition with the tables; int64 indices of the whole series
         # would take 8, and widening an int8 series whole 8 more
         assert peak / self.STEPS <= 1
+
+    def test_world_model_is_held_once(self):
+        rng = np.random.default_rng(0)
+        sensors, actions = rng.integers(0, 30, (2, 5001))
+        series = SymbolSeries(sensors, actions[:-1])
+        tracemalloc.start()
+        try:
+            model = estimate(series, Alphabet(30), Alphabet(30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the count table and the world model, about 2.4 tables of 30 x 30 x 30 float64;
+        # a copy of the world model in its constructor made it 3.2
+        assert peak / (8 * 30**3) < 2.8
+        assert not model.world_model.entries.flags.writeable
 
 
 class TestJointFromModel:
@@ -878,7 +893,7 @@ class TestGrowingCounts:
         assert counts.shape == whole.shape
         assert counts.tobytes() == whole.tobytes()
         try:
-            (values,) = checked_rows(intrinsic_values(*estimate_arrays(whole), INTRINSIC_MEASURES))
+            (values,) = rows_of([checked_columns(intrinsic_values(*estimate_arrays(whole), INTRINSIC_MEASURES))])
         except prob.ComputeError as exc:
             # a one-symbol alphabet, as a one-row file's blank action gives
             event("measures undefined")

@@ -17,7 +17,7 @@ from morphocomp.measures import (
     c_a,
     c_a_deliberative,
     c_w,
-    checked_rows,
+    checked_columns,
     cif,
     do_a,
     do_s,
@@ -25,6 +25,7 @@ from morphocomp.measures import (
     intrinsic_values,
     mc_a,
     mc_w,
+    rows_of,
 )
 from morphocomp.estimation import count_transitions, estimate, estimate_arrays, joint_from_model
 from morphocomp.prob import (
@@ -451,13 +452,16 @@ class TestStackedModels:
 
 
 class TestCheckedRows:
-    """The range check and clamp on a stack of values, one row per model."""
+    """The range check and clamp on a stack of values, one row per model, and its rows."""
 
     def test_band_clamping(self):
-        rows = checked_rows({
+        columns = checked_columns({
             "mc_a": np.array([0.25, -1e-10, -0.0]),
             "c_w": np.array([1.0 + 1e-10, 0.5, 1.0]),
         })
+        assert list(columns) == ["mc_a", "c_w"]
+        assert all(type(value) is float for column in columns.values() for value in column)
+        rows = list(rows_of([columns]))
         # hex keeps the sign of zero: -0.0 stays as min(max(v, 0.0), 1.0) leaves it
         assert [{name: value.hex() for name, value in row.items()} for row in rows] == [
             {"mc_a": (0.25).hex(), "c_w": (1.0).hex()},
@@ -474,12 +478,12 @@ class TestCheckedRows:
             "c_a": np.array([np.nan, 0.5, 0.5]),
         }
         with pytest.raises(ConsistencyError) as caught:
-            checked_rows(values)
+            checked_columns(values)
         assert str(caught.value) == "measure asoc_w = 1.1 is outside [0, 1] beyond tolerance"
         assert caught.value.batch == 1
         values["asoc_w"][1] = 0.5
         with pytest.raises(ConsistencyError) as caught:
-            checked_rows(values)
+            checked_columns(values)
         assert str(caught.value) == "measure asoc_w = nan is outside [0, 1] beyond tolerance"
         assert caught.value.batch == 2
 

@@ -103,6 +103,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             d.probs[0] = 0.3
 
+    def test_writeable_array_is_copied_and_frozen(self):
+        rows = np.full((2, 2, 2), 0.5)
+        kernel = Kernel3(B, B, B, rows)
+        assert not np.shares_memory(kernel.entries, rows)
+        assert rows.flags.writeable and not kernel.entries.flags.writeable
+        rows[0, 0] = [1.0, 0.0]
+        assert kernel.entries[0, 0].tolist() == [0.5, 0.5]
+
+    def test_read_only_float64_array_that_owns_its_data_is_taken_uncopied(self):
+        rows = np.full((2, 2, 2), 0.5)
+        rows.setflags(write=False)
+        assert np.shares_memory(Kernel3(B, B, B, rows).entries, rows)
+        # a read-only view is copied, as its base may be written
+        view = np.full((2, 2, 2), 0.5)[:]
+        view.setflags(write=False)
+        assert not np.shares_memory(Kernel3(B, B, B, view).entries, view)
+
 
 class TestComposeAndMarginal:
     def test_uniform_everything_gives_uniform_joint(self):

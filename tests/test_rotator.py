@@ -13,8 +13,9 @@ from morphocomp.estimation import SymbolSeries, estimate
 from morphocomp.measures import (
     INTRINSIC_MEASURES,
     IntrinsicModel,
-    checked_rows,
+    checked_columns,
     intrinsic_measures,
+    rows_of,
 )
 from morphocomp.prob import Alphabet, Distribution, Joint3, Kernel2, Kernel3
 from morphocomp.rotator import (
@@ -565,7 +566,7 @@ def per_cell_rows(eta_grid, beta_grid, runs, cfg):
                 for name in INTRINSIC_MEASURES:
                     totals[name] += values[name]
             means = {name: np.array([totals[name] / runs]) for name in INTRINSIC_MEASURES}
-            rows.append(row_bits({"eta": eta, "beta": beta, **checked_rows(means)[0]}))
+            rows.append(row_bits({"eta": eta, "beta": beta, **next(rows_of([checked_columns(means)]))}))
     return rows
 
 
